@@ -37,7 +37,7 @@ from .identities import (
     sum_of_squares_inverses,
 )
 from .recip import reciprocity_check
-from .verify import SweepConfig, load_sweep_config, run_all
+from .verify import MAX_SHARDS, SweepConfig, load_sweep_config, run_all
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -168,25 +168,6 @@ def _flags(flags) -> str:
     return ",".join(str(f).lower() for f in flags)
 
 
-def _quad_json(rep: QuadPairReport) -> dict:
-    return {
-        "a": rep.a,
-        "b": rep.b,
-        "c": rep.c,
-        "d": rep.d,
-        "u": rep.u,
-        "v": rep.v,
-        "s": rep.s,
-        "t": rep.t,
-        "x": list(rep.x),
-        "y": list(rep.y),
-        "z": list(rep.z),
-        "pair_inverse_ok": list(rep.pair_inverse_ok),
-        "sum_inverse_ok": list(rep.sum_inverse_ok) if rep.sum_inverse_ok else None,
-        "proof_identity_ok": list(rep.proof_identity_ok) if rep.proof_identity_ok else None,
-    }
-
-
 def _print_quad(rep: QuadPairReport) -> None:
     print(f"u={rep.u} v={rep.v} s={rep.s} t={rep.t}")
     print(f"x1={rep.x[0]} x2={rep.x[1]} x3={rep.x[2]} x4={rep.x[3]}")
@@ -200,7 +181,7 @@ def _print_quad(rep: QuadPairReport) -> None:
 def cmd_quad(args) -> int:
     rep = quad_pair_inverses(args.a, args.b, args.c, args.d)
     if args.json:
-        _emit_json(_quad_json(rep))
+        _emit_json(asdict(rep))
     else:
         _print_quad(rep)
     return EXIT_OK
@@ -215,7 +196,7 @@ def cmd_sums(args) -> int:
         "t_inv_mod_v": mod_inverse(rep.t, rep.v).expect(),
     }
     if args.json:
-        _emit_json(_quad_json(rep) | values)
+        _emit_json(asdict(rep) | values)
     else:
         _print_quad(rep)
         print(" ".join(f"{k}={v}" for k, v in values.items()))
@@ -282,26 +263,14 @@ def cmd_verify(args) -> int:
     results = run_all(config, classical_units=args.use_classical_unit_inverse)
     passed = all(r.passed for r in results)
     if args.json:
-        _emit_json(
-            {
-                "passed": passed,
-                "suites": [
-                    {
-                        "name": r.name,
-                        "cases": r.cases,
-                        "failure_count": r.failure_count,
-                        "failures": r.failures,
-                        "note": r.note,
-                    }
-                    for r in results
-                ],
-            }
-        )
+        suites = [asdict(r) | {"cases_per_s": r.cases_per_s} for r in results]
+        _emit_json({"passed": passed, "suites": suites})
     else:
         for r in results:
             status = "ok" if r.passed else f"{r.failure_count} FAILED"
             note = f" ({r.note})" if r.note else ""
-            print(f"{r.name}: {r.cases} cases, {status}{note}")
+            timing = f"{r.elapsed_s:.2f} s, {r.cases_per_s:.0f} cases/s"
+            print(f"{r.name}: {r.cases} cases, {status}{note} [{timing}]")
             if not r.passed:
                 print(f"  minimal counterexample: {r.failures[0]}")
         print("all suites passed" if passed else "verification FAILED")
@@ -342,8 +311,6 @@ def cmd_bench(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit one JSON object instead of text")
-    common.add_argument("--seed", type=_int_arg, metavar="U64", default=None,
-                        help="seed for randomized operations")
 
     parser = _Parser(prog="modrecip", description="Signed modular inverses and identities")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -403,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=_int_arg, default=None, help="reciprocity/oracle operand bound")
     p.add_argument("--k-bound", dest="k_bound", type=_int_arg, default=None)
     p.add_argument("--gaussian-bound", dest="gaussian_bound", type=_int_arg, default=None)
-    p.add_argument("--shards", type=_int_arg, default=None, help="worker threads for the sweeps")
+    p.add_argument("--shards", type=_int_arg, default=None,
+                   help=f"worker processes for the sweeps (1 to {MAX_SHARDS})")
     p.add_argument("--config", default=None, metavar="FILE",
                    help="key=value file overriding any sweep bound")
     p.add_argument("--use-classical-unit-inverse", action="store_true",
@@ -414,6 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="time reciprocity-route inversion against extended gcd")
     p.add_argument("--bits", type=_int_arg, required=True, help="operand width in bits")
     p.add_argument("--iters", type=_int_arg, default=1000, help="number of trials")
+    p.add_argument("--seed", type=_int_arg, metavar="U64", default=None,
+                   help="seed for the random operands")
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -1,15 +1,20 @@
 """Exhaustive verification sweeps over every identity in the package.
 
-Each sweep walks a signed operand range in ascending order, so the first
-recorded failure is the minimal counterexample for that ordering.  Sweeps
-are pure-function workloads and can be sharded across threads.
+Each suite is a module-level generator ``cases(config, chunk)`` that walks
+its share of the outer operands in ascending order and yields one outcome
+per case: ``None`` when the case passes, a counterexample label when it
+fails, or ``BREAK`` for a designed break in a classical-units suite.  One
+engine, ``_sweep``, counts the outcomes, keeps the first few labels (so the
+first recorded failure is the minimal counterexample for that ordering),
+times the suite and shards its outer operands across worker processes.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import time
 from dataclasses import dataclass, field, fields
+from itertools import repeat
 
 from .core import (
     DomainError,
@@ -41,8 +46,13 @@ from .recip import inverse_via_reciprocity, reciprocity_check
 
 # brute_force_inverse is O(|m|); keep CLI-driven sweeps under this modulus
 BRUTE_FORCE_CAP = 1 << 20
+# one worker process per shard; keep the pool well inside a single machine
+MAX_SHARDS = 32
 
 _SAMPLE_LIMIT = 5
+
+# outcome of a classical-units case that breaks exactly as predicted
+BREAK = object()
 
 
 @dataclass
@@ -64,8 +74,8 @@ class SweepConfig:
             raise DomainError("bound must be at least 2")
         if self.bound > BRUTE_FORCE_CAP:
             raise DomainError(f"bound must not exceed {BRUTE_FORCE_CAP}")
-        if self.shard_count < 1:
-            raise DomainError("shard_count must be at least 1")
+        if not 1 <= self.shard_count <= MAX_SHARDS:
+            raise DomainError(f"shard_count must be in [1, {MAX_SHARDS}]")
         if self.k_bound < 0:
             raise DomainError("k_bound must be nonnegative")
         for name in ("gaussian_bound", "shift_bound", "reduce_bound",
@@ -100,10 +110,15 @@ class SweepResult:
     failure_count: int = 0
     failures: list[str] = field(default_factory=list)  # first few only
     note: str = ""
+    elapsed_s: float = 0.0
 
     @property
     def passed(self) -> bool:
         return self.failure_count == 0
+
+    @property
+    def cases_per_s(self) -> float:
+        return self.cases / self.elapsed_s if self.elapsed_s > 0 else 0.0
 
 
 def signed_range(bound: int, start: int = 1) -> list[int]:
@@ -111,62 +126,88 @@ def signed_range(bound: int, start: int = 1) -> list[int]:
     return [n for n in range(-bound, bound + 1) if abs(n) >= start]
 
 
-def _merge(name: str, parts: list[tuple[int, int, list[str], int]]) -> tuple[SweepResult, int]:
-    cases = sum(p[0] for p in parts)
-    count = sum(p[1] for p in parts)
+def _coprime(outer, inner):
+    """(x, y) for x in outer, y in inner with gcd(x, y) = 1, in that order."""
+    return ((x, y) for x in outer for y in inner if math.gcd(x, y) == 1)
+
+
+def _tally(cases, config: SweepConfig, chunk: list) -> tuple[int, int, list[str], int]:
+    """(cases, failures, first labels, designed breaks) of one chunk."""
+    count = fails = breaks = 0
     samples: list[str] = []
-    for p in parts:
-        samples.extend(p[2][: _SAMPLE_LIMIT - len(samples)])
-    designed = sum(p[3] for p in parts)
-    return SweepResult(name, cases, count, samples), designed
+    for outcome in cases(config, chunk):
+        count += 1
+        if outcome is BREAK:
+            breaks += 1
+        elif outcome is not None:
+            fails += 1
+            if len(samples) < _SAMPLE_LIMIT:
+                samples.append(outcome)
+    return count, fails, samples, breaks
 
 
-def _run_sharded(name, outer, worker, shards):
+def _sweep(name: str, cases, config: SweepConfig, outer, note: str = "") -> SweepResult:
+    """Run one suite over its outer operands; ``note`` may use ``{breaks}``."""
+    start = time.perf_counter()
     outer = list(outer)
+    shards = config.shard_count
     if shards <= 1 or len(outer) < 2 * shards:
-        parts = [worker(outer)]
+        parts = [_tally(cases, config, outer)]
     else:
-        size = -(-len(outer) // shards)
+        from concurrent.futures import ProcessPoolExecutor
+
+        # several contiguous chunks per worker even out uneven case costs;
+        # merged in order, they keep the labels in sweep order
+        size = -(-len(outer) // (4 * shards))
         chunks = [outer[i : i + size] for i in range(0, len(outer), size)]
-        with ThreadPoolExecutor(max_workers=shards) as ex:
-            parts = list(ex.map(worker, chunks))
-    return _merge(name, parts)
+        with ProcessPoolExecutor(max_workers=shards) as ex:
+            parts = list(ex.map(_tally, repeat(cases), repeat(config), chunks))
+    count, fails, breaks = (sum(part[i] for part in parts) for i in (0, 1, 3))
+    samples = [label for part in parts for label in part[2]][:_SAMPLE_LIMIT]
+    elapsed = time.perf_counter() - start
+    return SweepResult(name, count, fails, samples, note.format(breaks=breaks), elapsed)
+
+
+def _division_law_cases(config, chunk):
+    moduli = signed_range(config.bound)
+    for a in chunk:
+        for m in moduli:
+            q, r = floor_div(a, m), floor_mod(a, m)
+            ok = a == m * q + r and (0 <= r < m if m > 0 else m < r <= 0)
+            yield None if ok else f"a={a} m={m} q={q} r={r}"
 
 
 def run_division_law_sweep(config: SweepConfig) -> SweepResult:
     """a = m*floor_div + floor_mod with the sign-of-m remainder window."""
-    bound = config.bound
+    outer = range(-config.bound, config.bound + 1)
+    return _sweep("division-law", _division_law_cases, config, outer)
 
-    def worker(chunk):
-        cases, fails, samples = 0, 0, []
-        moduli = signed_range(bound)
-        for a in chunk:
-            for m in moduli:
-                cases += 1
-                q, r = floor_div(a, m), floor_mod(a, m)
-                if a != m * q + r or not (0 <= r < m if m > 0 else m < r <= 0):
-                    fails += 1
-                    if len(samples) < _SAMPLE_LIMIT:
-                        samples.append(f"a={a} m={m} q={q} r={r}")
-        return cases, fails, samples, 0
 
-    result, _ = _run_sharded("division-law", range(-bound, bound + 1), worker, config.shard_count)
-    return result
+def _unit_modulus_cases(config, chunk):
+    for a in chunk:
+        for m in (1, -1):
+            expected = (1 if a > 0 else 0) if m == 1 else (0 if a > 0 else -1)
+            got = mod_inverse(a, m).expect()
+            yield None if got == expected else f"a={a} m={m} got={got} expected={expected}"
 
 
 def run_unit_modulus_sweep(config: SweepConfig, limit: int = 100) -> SweepResult:
     """The four closed-form branch values for moduli +1 and -1."""
-    cases, fails, samples = 0, 0, []
-    for a in signed_range(limit):
-        for m in (1, -1):
-            cases += 1
-            expected = (1 if a > 0 else 0) if m == 1 else (0 if a > 0 else -1)
-            got = mod_inverse(a, m).expect()
-            if got != expected:
-                fails += 1
-                if len(samples) < _SAMPLE_LIMIT:
-                    samples.append(f"a={a} m={m} got={got} expected={expected}")
-    return SweepResult("unit-modulus-table", cases, fails, samples)
+    return _sweep("unit-modulus-table", _unit_modulus_cases, config, signed_range(limit))
+
+
+def _divergence_cases(config, chunk):
+    for m, a in _coprime(chunk, signed_range(config.bound)):
+        new = mod_inverse(a, m).expect()
+        cls = classical_inverse(a, m).expect()
+        if m > 1:
+            ok = new == cls
+        elif m < -1:
+            ok = new == cls + m
+        else:
+            diff = (m == 1 and a > 0) or (m == -1 and a < 0)
+            ok = (new != cls) == diff and (not diff or (cls == 0 and new == (1 if m == 1 else -1)))
+        yield None if ok else f"a={a} m={m} new={new} classical={cls}"
 
 
 def run_divergence_sweep(config: SweepConfig) -> SweepResult:
@@ -176,57 +217,46 @@ def run_divergence_sweep(config: SweepConfig) -> SweepResult:
     offset by m for m < -1); for |m| = 1 the raw values differ exactly
     when (m=1, a>0) or (m=-1, a<0), with the signed value 1 or -1.
     """
-    bound = config.bound
-    cases, fails, samples = 0, 0, []
-    for m in signed_range(bound):
-        for a in signed_range(bound):
-            if math.gcd(a, m) != 1:
-                continue
-            cases += 1
-            new = mod_inverse(a, m).expect()
-            cls = classical_inverse(a, m).expect()
-            if m > 1:
-                ok = new == cls
-            elif m < -1:
-                ok = new == cls + m
-            else:
-                diff = (m == 1 and a > 0) or (m == -1 and a < 0)
-                ok = (new != cls) == diff and (not diff or (cls == 0 and new == (1 if m == 1 else -1)))
-            if not ok:
-                fails += 1
-                if len(samples) < _SAMPLE_LIMIT:
-                    samples.append(f"a={a} m={m} new={new} classical={cls}")
-    return SweepResult("classical-divergence", cases, fails, samples)
+    return _sweep("classical-divergence", _divergence_cases, config, signed_range(config.bound))
+
+
+def _oracle_cases(config, chunk):
+    for m, a in _coprime(chunk, signed_range(config.bound)):
+        lo, hi = (1, m - 1) if m > 0 else (m + 1, -1)
+        v = mod_inverse(a, m).expect()
+        ok = lo <= v <= hi and a * v % m == 1 % m
+        ok = ok and v == brute_force_inverse(a, m).expect()
+        ok = ok and v == inverse_via_reciprocity(a, m).expect()
+        g, x, _ = extended_gcd(a, m)
+        ok = ok and g == 1 and x % m == v
+        yield None if ok else f"a={a} m={m} inverse={v}"
 
 
 def run_oracle_sweep(config: SweepConfig) -> SweepResult:
     """Windowed inverse == brute force == reciprocity route, plus Bezout."""
-    bound = config.bound
+    return _sweep("inverse-oracles", _oracle_cases, config, signed_range(config.bound, start=2))
 
-    def worker(moduli):
-        cases, fails, samples = 0, 0, []
-        operands = signed_range(bound)
-        for m in moduli:
-            one = 1 % m
-            lo, hi = (1, m - 1) if m > 0 else (m + 1, -1)
-            for a in operands:
-                if math.gcd(a, m) != 1:
-                    continue
-                cases += 1
-                v = mod_inverse(a, m).expect()
-                ok = lo <= v <= hi and a * v % m == one
-                ok = ok and v == brute_force_inverse(a, m).expect()
-                ok = ok and v == inverse_via_reciprocity(a, m).expect()
-                g, x, _ = extended_gcd(a, m)
-                ok = ok and g == 1 and x % m == v
-                if not ok:
-                    fails += 1
-                    if len(samples) < _SAMPLE_LIMIT:
-                        samples.append(f"a={a} m={m} inverse={v}")
-        return cases, fails, samples, 0
 
-    result, _ = _run_sharded("inverse-oracles", signed_range(bound, start=2), worker, config.shard_count)
-    return result
+def _reciprocity_cases(config, chunk):
+    for a, b in _coprime(chunk, signed_range(config.bound)):
+        rep = reciprocity_check(a, b)
+        ok = rep.holds and rep.k == 1
+        yield None if ok else f"a={a} b={b} lhs={rep.lhs} rhs={rep.rhs} k={rep.k}"
+
+
+def _reciprocity_classical_cases(config, chunk):
+    for a, b in _coprime(chunk, signed_range(config.bound)):
+        inv_a = 0 if abs(b) == 1 else mod_inverse(a, b).expect()
+        inv_b = 0 if abs(a) == 1 else mod_inverse(b, a).expect()
+        breaks = a * inv_a + b * inv_b != 1 + a * b
+        delta = (a * unit_inverse(a, b) if abs(b) == 1 else 0) + (
+            b * unit_inverse(b, a) if abs(a) == 1 else 0
+        )
+        predicted = delta != 0
+        if breaks == predicted:
+            yield BREAK if breaks else None
+        else:
+            yield f"a={a} b={b} breaks={breaks} predicted={predicted}"
 
 
 def run_reciprocity_sweep(config: SweepConfig, classical_units: bool = False) -> SweepResult:
@@ -236,79 +266,61 @@ def run_reciprocity_sweep(config: SweepConfig, classical_units: bool = False) ->
     conventional 0 and the sweep instead checks that the identity breaks
     exactly on the predicted set of unit-operand pairs and nowhere else.
     """
-    bound = config.bound
-    operands = signed_range(bound)
-
-    def worker_normal(chunk):
-        cases, fails, samples = 0, 0, []
-        for a in chunk:
-            for b in operands:
-                if math.gcd(a, b) != 1:
-                    continue
-                cases += 1
-                rep = reciprocity_check(a, b)
-                if not (rep.holds and rep.k == 1):
-                    fails += 1
-                    if len(samples) < _SAMPLE_LIMIT:
-                        samples.append(f"a={a} b={b} lhs={rep.lhs} rhs={rep.rhs} k={rep.k}")
-        return cases, fails, samples, 0
-
-    def worker_classical(chunk):
-        cases, fails, samples, designed = 0, 0, [], 0
-        for a in chunk:
-            for b in operands:
-                if math.gcd(a, b) != 1:
-                    continue
-                cases += 1
-                inv_a = 0 if abs(b) == 1 else mod_inverse(a, b).expect()
-                inv_b = 0 if abs(a) == 1 else mod_inverse(b, a).expect()
-                breaks = a * inv_a + b * inv_b != 1 + a * b
-                delta = (a * unit_inverse(a, b) if abs(b) == 1 else 0) + (
-                    b * unit_inverse(b, a) if abs(a) == 1 else 0
-                )
-                designed += breaks
-                if breaks != (delta != 0):
-                    fails += 1
-                    if len(samples) < _SAMPLE_LIMIT:
-                        samples.append(f"a={a} b={b} breaks={breaks} predicted={delta != 0}")
-        return cases, fails, samples, designed
-
+    operands = signed_range(config.bound)
     if not classical_units:
-        result, _ = _run_sharded("reciprocity", operands, worker_normal, config.shard_count)
-        return result
-    result, designed = _run_sharded(
-        "reciprocity-classical-units", operands, worker_classical, config.shard_count
-    )
-    result.note = f"{designed} designed breaks, all on unit operands"
-    return result
+        return _sweep("reciprocity", _reciprocity_cases, config, operands)
+    return _sweep("reciprocity-classical-units", _reciprocity_classical_cases, config, operands,
+                  "{breaks} designed breaks, all on unit operands")
+
+
+def _shift_cases(config, chunk):
+    ks = range(-config.k_bound, config.k_bound + 1)
+    for a, b in _coprime(chunk, signed_range(config.shift_bound)):
+        for k in ks:
+            if k * a + b == 0:
+                continue
+            got = shift_invariance(a, b, k)
+            want = mod_inverse(k * a + b, a).expect()
+            yield None if got == want else f"a={a} b={b} k={k} got={got} want={want}"
 
 
 def run_shift_invariance_sweep(config: SweepConfig) -> SweepResult:
     """inv(k*a + b mod a) from inv(b mod a), against the direct inverse."""
-    bound, kb = config.shift_bound, config.k_bound
-    operands = signed_range(bound)
-    ks = range(-kb, kb + 1)
+    return _sweep("shift-invariance", _shift_cases, config, signed_range(config.shift_bound))
 
-    def worker(chunk):
-        cases, fails, samples = 0, 0, []
-        for a in chunk:
-            for b in operands:
-                if math.gcd(a, b) != 1:
+
+def _reduction_cases(config, chunk):
+    ks = range(-config.k_bound, config.k_bound + 1)
+    for a, b in _coprime(chunk, signed_range(config.reduce_bound)):
+        for k in ks:
+            for plus in (True, False):
+                target = k * a + b if plus else k * a - b
+                if target == 0:
                     continue
-                for k in ks:
-                    if k * a + b == 0:
-                        continue
-                    cases += 1
-                    got = shift_invariance(a, b, k)
-                    want = mod_inverse(k * a + b, a).expect()
-                    if got != want:
-                        fails += 1
-                        if len(samples) < _SAMPLE_LIMIT:
-                            samples.append(f"a={a} b={b} k={k} got={got} want={want}")
-        return cases, fails, samples, 0
+                got = (reduce_inverse_plus if plus else reduce_inverse_minus)(a, b, k)
+                want = mod_inverse(a, target).expect()
+                form, ok = "+" if plus else "-", got == want
+                yield None if ok else f"a={a} b={b} k={k} form={form} got={got} want={want}"
 
-    result, _ = _run_sharded("shift-invariance", operands, worker, config.shard_count)
-    return result
+
+def _reduction_classical_cases(config, chunk):
+    ks = range(-config.k_bound, config.k_bound + 1)
+    for a, b in _coprime(chunk, signed_range(config.reduce_bound)):
+        inv_ba = mod_inverse(b, a).expect()
+        inv_ab = 0 if abs(b) == 1 else mod_inverse(a, b).expect()
+        predicted = abs(b) == 1 and unit_inverse(a, b) != 0
+        for k in ks:
+            for plus in (True, False):
+                target = k * a + b if plus else k * a - b
+                if target == 0 or abs(target) == 1:
+                    continue
+                formula = k * (a - inv_ba) + inv_ab if plus else k * inv_ba - (b - inv_ab)
+                breaks = formula != mod_inverse(a, target).expect()
+                if breaks == predicted:
+                    yield BREAK if breaks else None
+                else:
+                    form = "+" if plus else "-"
+                    yield f"a={a} b={b} k={k} form={form} breaks={breaks} predicted={predicted}"
 
 
 def run_reduction_sweep(config: SweepConfig, classical_units: bool = False) -> SweepResult:
@@ -320,185 +332,101 @@ def run_reduction_sweep(config: SweepConfig, classical_units: bool = False) -> S
     skipped there, since the comparison baseline itself is the disputed
     branch).
     """
-    bound, kb = config.reduce_bound, config.k_bound
-    operands = signed_range(bound)
-    ks = range(-kb, kb + 1)
-
-    def worker_normal(chunk):
-        cases, fails, samples = 0, 0, []
-        for a in chunk:
-            for b in operands:
-                if math.gcd(a, b) != 1:
-                    continue
-                for k in ks:
-                    for plus in (True, False):
-                        target = k * a + b if plus else k * a - b
-                        if target == 0:
-                            continue
-                        cases += 1
-                        got = (reduce_inverse_plus if plus else reduce_inverse_minus)(a, b, k)
-                        want = mod_inverse(a, target).expect()
-                        if got != want:
-                            fails += 1
-                            if len(samples) < _SAMPLE_LIMIT:
-                                samples.append(
-                                    f"a={a} b={b} k={k} form={'+' if plus else '-'} got={got} want={want}"
-                                )
-        return cases, fails, samples, 0
-
-    def worker_classical(chunk):
-        cases, fails, samples, designed = 0, 0, [], 0
-        for a in chunk:
-            for b in operands:
-                if math.gcd(a, b) != 1:
-                    continue
-                inv_ba = mod_inverse(b, a).expect()
-                inv_ab = 0 if abs(b) == 1 else mod_inverse(a, b).expect()
-                predicted = abs(b) == 1 and unit_inverse(a, b) != 0
-                for k in ks:
-                    for plus in (True, False):
-                        target = k * a + b if plus else k * a - b
-                        if target == 0 or abs(target) == 1:
-                            continue
-                        cases += 1
-                        formula = (
-                            k * (a - inv_ba) + inv_ab if plus else k * inv_ba - (b - inv_ab)
-                        )
-                        breaks = formula != mod_inverse(a, target).expect()
-                        designed += breaks
-                        if breaks != predicted:
-                            fails += 1
-                            if len(samples) < _SAMPLE_LIMIT:
-                                samples.append(
-                                    f"a={a} b={b} k={k} form={'+' if plus else '-'} "
-                                    f"breaks={breaks} predicted={predicted}"
-                                )
-        return cases, fails, samples, designed
-
-    outer = [a for a in operands if abs(a) > 1]
+    outer = signed_range(config.reduce_bound, start=2)
     if not classical_units:
-        result, _ = _run_sharded("reduction", outer, worker_normal, config.shard_count)
-        return result
-    result, designed = _run_sharded(
-        "reduction-classical-units", outer, worker_classical, config.shard_count
-    )
-    result.note = f"{designed} designed breaks, all with |b| = 1"
-    return result
+        return _sweep("reduction", _reduction_cases, config, outer)
+    return _sweep("reduction-classical-units", _reduction_classical_cases, config, outer,
+                  "{breaks} designed breaks, all with |b| = 1")
+
+
+def _square_cases(config, chunk):
+    for a, b in _coprime(chunk, signed_range(config.square_bound)):
+        got = square_inverse(a, b)
+        want = mod_inverse(b * b, a * a).expect()
+        yield None if got == want else f"a={a} b={b} got={got} want={want}"
 
 
 def run_square_sweep(config: SweepConfig) -> SweepResult:
     """Both squared-modulus forms against the direct inverse of b*b mod a*a."""
-    bound = config.square_bound
-    operands = signed_range(bound)
+    outer = signed_range(config.square_bound, start=2)
+    return _sweep("square-inverse", _square_cases, config, outer)
 
-    def worker(chunk):
-        cases, fails, samples = 0, 0, []
-        for a in chunk:
-            for b in operands:
-                if math.gcd(a, b) != 1:
-                    continue
-                cases += 1
-                got = square_inverse(a, b)
-                want = mod_inverse(b * b, a * a).expect()
-                if got != want:
-                    fails += 1
-                    if len(samples) < _SAMPLE_LIMIT:
-                        samples.append(f"a={a} b={b} got={got} want={want}")
-        return cases, fails, samples, 0
 
-    outer = [a for a in operands if abs(a) > 1]
-    result, _ = _run_sharded("square-inverse", outer, worker, config.shard_count)
-    return result
+def _quad_pairs(config) -> list[tuple[int, int]]:
+    values = signed_range(config.quad_bound)
+    return list(_coprime(values, values))
+
+
+def _quad_cases(config, chunk):
+    pairs = _quad_pairs(config)
+    for a, b in chunk:
+        for c, d in pairs:
+            u = a * c + b * d
+            v = a * d - b * c
+            if abs(u) <= 1 or abs(v) <= 1:
+                continue
+            rep = quad_pair_inverses(a, b, c, d)
+            ok = rep.all_ok
+            if ok and a > 0 and b > 0 and c > 0 and d > 0:
+                ok = positive_case_exact(a, b, c, d) == rep.y[0]
+            yield None if ok else f"a={a} b={b} c={c} d={d}"
 
 
 def run_quad_sweep(config: SweepConfig) -> SweepResult:
     """Every cross-pair report flag, plus the exact positive-case value."""
-    bound = config.quad_bound
-    values = signed_range(bound)
-    pairs = [(p, q) for p in values for q in values if math.gcd(p, q) == 1]
+    return _sweep("quad-pair", _quad_cases, config, _quad_pairs(config))
 
-    def worker(first_pairs):
-        cases, fails, samples = 0, 0, []
-        for a, b in first_pairs:
-            for c, d in pairs:
-                u = a * c + b * d
-                v = a * d - b * c
-                if abs(u) <= 1 or abs(v) <= 1:
-                    continue
-                cases += 1
-                rep = quad_pair_inverses(a, b, c, d)
-                ok = rep.all_ok
-                if ok and a > 0 and b > 0 and c > 0 and d > 0:
-                    ok = positive_case_exact(a, b, c, d) == rep.y[0]
-                if not ok:
-                    fails += 1
-                    if len(samples) < _SAMPLE_LIMIT:
-                        samples.append(f"a={a} b={b} c={c} d={d}")
-        return cases, fails, samples, 0
 
-    result, _ = _run_sharded("quad-pair", pairs, worker, config.shard_count)
-    return result
+def _gaussian_cases(config, chunk):
+    values = signed_range(config.gaussian_bound)
+    for a in chunk:
+        for b in values:
+            z = GaussianInteger(a, b)
+            s = z.norm()
+            for c in values:
+                for d in values:
+                    w = GaussianInteger(c, d)
+                    t = w.norm()
+                    if math.gcd(s, t) != 1:
+                        continue
+                    rep, canon = gaussian_inverse(z, w)
+                    ok = divides(w, z * canon - 1)
+                    ok = ok and 2 * canon.norm() <= t
+                    ok = ok and gaussian_bezout_identity(a, b, c, d)
+                    # the canonical residue ignores which representative is reduced
+                    ok = ok and gaussian_divmod(rep + w * 3, w).remainder == canon
+                    ok = ok and gaussian_divmod(rep - w, w).remainder == canon
+                    q, r = gaussian_divmod(z, w)
+                    ok = ok and z == w * q + r and 2 * r.norm() <= t
+                    yield None if ok else f"z={z} w={w}"
 
 
 def run_gaussian_sweep(config: SweepConfig) -> SweepResult:
     """Gaussian inversion, the exact four-factor identity, and division law."""
-    bound = config.gaussian_bound
-    values = signed_range(bound)
+    return _sweep("gaussian-inverse", _gaussian_cases, config, signed_range(config.gaussian_bound))
 
-    def worker(chunk):
-        cases, fails, samples = 0, 0, []
-        for a in chunk:
-            for b in values:
-                z = GaussianInteger(a, b)
-                s = z.norm()
-                for c in values:
-                    for d in values:
-                        w = GaussianInteger(c, d)
-                        t = w.norm()
-                        if math.gcd(s, t) != 1:
-                            continue
-                        cases += 1
-                        rep, canon = gaussian_inverse(z, w)
-                        ok = divides(w, z * canon - 1)
-                        ok = ok and 2 * canon.norm() <= t
-                        ok = ok and gaussian_bezout_identity(a, b, c, d)
-                        # the canonical residue ignores which representative is reduced
-                        ok = ok and gaussian_divmod(rep + w * 3, w).remainder == canon
-                        ok = ok and gaussian_divmod(rep - w, w).remainder == canon
-                        q, r = gaussian_divmod(z, w)
-                        ok = ok and z == w * q + r and 2 * r.norm() <= t
-                        if not ok:
-                            fails += 1
-                            if len(samples) < _SAMPLE_LIMIT:
-                                samples.append(f"z={z} w={w}")
-        return cases, fails, samples, 0
 
-    result, _ = _run_sharded("gaussian-inverse", values, worker, config.shard_count)
-    return result
+def _gaussian_linear_cases(config, chunk):
+    for a, b in _coprime(chunk, signed_range(config.linear_bound)):
+        g = inverse_mod_gaussian_linear(a, b)
+        ok = divides(GaussianInteger(b, a), g * a - 1)
+        yield None if ok else f"a={a} b={b} inverse={g}"
 
 
 def run_gaussian_linear_sweep(config: SweepConfig) -> SweepResult:
     """a * inv = 1 (mod a*i + b) for the closed-form Gaussian inverse."""
-    bound = config.linear_bound
-    operands = signed_range(bound)
+    outer = signed_range(config.linear_bound, start=2)
+    return _sweep("gaussian-linear", _gaussian_linear_cases, config, outer)
 
-    def worker(chunk):
-        cases, fails, samples = 0, 0, []
-        for a in chunk:
-            for b in operands:
-                if math.gcd(a, b) != 1:
-                    continue
-                cases += 1
-                g = inverse_mod_gaussian_linear(a, b)
-                if not divides(GaussianInteger(b, a), g * a - 1):
-                    fails += 1
-                    if len(samples) < _SAMPLE_LIMIT:
-                        samples.append(f"a={a} b={b} inverse={g}")
-        return cases, fails, samples, 0
 
-    outer = [a for a in operands if abs(a) > 1]
-    result, _ = _run_sharded("gaussian-linear", outer, worker, config.shard_count)
-    return result
+def _fixture_cases(config, chunk):
+    direct = mod_inverse(7, 22).expect()
+    yield None if direct == 19 else "direct inv(7 mod 22) = 19"
+    replay = reduce_inverse_plus(7, 1, 3)
+    yield None if replay == direct == 19 else "reduction replay = 19"
+    classical_replay = 3 * (7 - mod_inverse(1, 3).expect()) + classical_inverse(7, 1).expect()
+    ok = classical_replay == 18 and classical_replay != direct
+    yield None if ok else "classical replay = 18 != 19"
 
 
 def run_unit_contradiction_fixture(config: SweepConfig | None = None) -> SweepResult:
@@ -507,22 +435,7 @@ def run_unit_contradiction_fixture(config: SweepConfig | None = None) -> SweepRe
     inv(7 mod 22) = 19 and the reduction formula reproduces it with the
     signed unit value; substituting the classical 0 yields 18 instead.
     """
-    cases, fails, samples = 0, 0, []
-
-    def check(label: str, ok: bool) -> None:
-        nonlocal cases, fails
-        cases += 1
-        if not ok:
-            fails += 1
-            if len(samples) < _SAMPLE_LIMIT:
-                samples.append(label)
-
-    direct = mod_inverse(7, 22).expect()
-    check("direct inv(7 mod 22) = 19", direct == 19)
-    check("reduction replay = 19", reduce_inverse_plus(7, 1, 3) == direct == 19)
-    classical_replay = 3 * (7 - mod_inverse(1, 3).expect()) + classical_inverse(7, 1).expect()
-    check("classical replay = 18 != 19", classical_replay == 18 and classical_replay != direct)
-    return SweepResult("unit-contradiction-fixture", cases, fails, samples)
+    return _sweep("unit-contradiction-fixture", _fixture_cases, config or SweepConfig(), [None])
 
 
 def run_all(config: SweepConfig, classical_units: bool = False) -> list[SweepResult]:

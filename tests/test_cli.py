@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -141,7 +145,8 @@ def test_gauss_linear_inv(capsys):
 
 
 def test_usage_errors_exit_1(capsys):
-    for argv in (["inv", "7"], ["inv", "x", "3"], ["gauss-inv", "1+zi", "2+1i"], []):
+    for argv in (["inv", "7"], ["inv", "x", "3"], ["gauss-inv", "1+zi", "2+1i"], [],
+                 ["inv", "3", "7", "--seed", "5"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 1
@@ -152,6 +157,7 @@ def test_verify_small_bound(capsys):
     assert code == 0
     assert "all suites passed" in out
     assert "reciprocity:" in out
+    assert "cases/s]" in out
 
 
 def test_verify_json_and_shards(capsys):
@@ -162,6 +168,31 @@ def test_verify_json_and_shards(capsys):
     data = json.loads(out)
     assert data["passed"] is True
     assert {s["name"] for s in data["suites"]} >= {"reciprocity", "quad-pair", "inverse-oracles"}
+    for suite in data["suites"]:
+        keys = {"name", "cases", "failure_count", "failures", "note", "elapsed_s", "cases_per_s"}
+        assert keys <= set(suite)
+        assert suite["elapsed_s"] >= 0 and suite["cases_per_s"] >= 0
+
+
+def test_verify_shard_cap_exit_1(capsys):
+    # rejected by validation before any worker process starts
+    code, out, err = run(capsys, "verify", "--shards", "100000", "--bound", "4")
+    assert code == 1 and out == "" and "shard_count" in err
+
+
+def _verify_process(shards: str) -> dict:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    argv = [sys.executable, "-m", "modrecip", "verify", "--shards", shards,
+            "--bound", "4", "--gaussian-bound", "2", "--json"]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return {s["name"]: s["cases"] for s in json.loads(proc.stdout)["suites"]}
+
+
+def test_verify_module_entry_point_shards():
+    assert _verify_process("2") == _verify_process("1")
 
 
 def test_verify_classical_mode(capsys):

@@ -1,5 +1,9 @@
+import multiprocessing
+from dataclasses import replace
+
 import pytest
 
+from modrecip import verify
 from modrecip.core import DomainError
 from modrecip.verify import (
     SweepConfig,
@@ -45,6 +49,8 @@ def test_config_validation():
     with pytest.raises(DomainError):
         SweepConfig(shard_count=0)
     with pytest.raises(DomainError):
+        SweepConfig(shard_count=33)
+    with pytest.raises(DomainError):
         SweepConfig(k_bound=-1)
     with pytest.raises(DomainError):
         SweepConfig(quad_bound=1)
@@ -75,12 +81,33 @@ def test_all_sweeps_pass_on_small_config():
     assert "reciprocity" in names and "quad-pair" in names
 
 
+def _outcomes(results):
+    return [(r.name, r.cases, r.failure_count, r.failures, r.note) for r in results]
+
+
 def test_sharding_is_result_invariant():
-    serial = run_all(SMALL)
-    sharded = run_all(SweepConfig(**{**SMALL.__dict__, "shard_count": 3}))
-    assert [(r.name, r.cases, r.failure_count) for r in serial] == [
-        (r.name, r.cases, r.failure_count) for r in sharded
-    ]
+    for classical_units in (False, True):
+        serial = run_all(SMALL, classical_units)
+        sharded = run_all(replace(SMALL, shard_count=3), classical_units)
+        assert _outcomes(serial) == _outcomes(sharded)
+
+
+def test_planted_failure_is_shard_invariant(monkeypatch):
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the planted failure reaches worker processes only through fork")
+    honest = verify.square_inverse
+    monkeypatch.setattr(verify, "square_inverse", lambda a, b: honest(a, b) + (a > 3))
+    serial = run_square_sweep(SMALL)
+    sharded = run_square_sweep(replace(SMALL, shard_count=3))
+    assert serial.failure_count > 5 and len(serial.failures) == 5
+    assert serial.failures[0].startswith("a=4 b=-5 ")
+    assert _outcomes([serial]) == _outcomes([sharded])
+
+
+def test_results_are_timed():
+    result = run_quad_sweep(SMALL)
+    assert result.elapsed_s > 0
+    assert result.cases_per_s == pytest.approx(result.cases / result.elapsed_s)
 
 
 def test_classical_units_mode_reports_designed_breaks_only():
