@@ -12,30 +12,14 @@ import argparse
 import sys
 from dataclasses import asdict, replace
 from json import dumps
+from typing import Callable, NamedTuple
 
 from . import bench as bench_mod
-from .core import (
-    DomainError,
-    NotCoprimeError,
-    ZeroOperandError,
-    classical_inverse,
-    mod_inverse,
-)
-from .gaussian import (
-    GaussianInteger,
-    format_gaussian,
-    gaussian_inverse,
-    inverse_mod_gaussian_linear,
-    parse_gaussian,
-)
-from .identities import (
-    QuadPairReport,
-    quad_pair_inverses,
-    reduce_inverse_minus,
-    reduce_inverse_plus,
-    square_inverse,
-    sum_of_squares_inverses,
-)
+from .core import DomainError, NotCoprimeError, ZeroOperandError, classical_inverse, mod_inverse
+from .gaussian import (GaussianInteger, format_gaussian, gaussian_inverse,
+                       inverse_mod_gaussian_linear, parse_gaussian)
+from .identities import (QuadPairReport, quad_pair_inverses, reduce_inverse_minus,
+                         reduce_inverse_plus, square_inverse, sum_of_squares_inverses)
 from .recip import reciprocity_check
 from .verify import MAX_SHARDS, SweepConfig, load_sweep_config, run_all
 
@@ -43,6 +27,12 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_UNDEFINED = 2
 EXIT_COUNTEREXAMPLE = 3
+
+# Widest integer operand or Gaussian component.  Results reach about three times
+# this width, so main lifts the interpreter's 4300-digit int/str limit while it
+# runs.  Operand text longer than this many characters is refused unparsed
+# (decimal parsing is quadratic); no in-cap numeral is that long.
+MAX_OPERAND_BITS = 1 << 16
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,207 +46,156 @@ def parse_integer(text: str) -> int:
     """Decimal by default; 0x prefix (after an optional sign) for hex."""
     t = text.strip()
     sign_part, mag = ("", t)
-    if t[:1] in "+-":
+    if t[:1] in ("+", "-"):
         sign_part, mag = t[0], t[1:]
     if mag[:2].lower() == "0x":
         return int(sign_part + mag[2:], 16)
     return int(sign_part + mag, 10)
 
 
+def _capped(text: str, parse: Callable, kind: str, parts: Callable):
+    if len(text) <= MAX_OPERAND_BITS:
+        try:
+            value = parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind} {text!r}") from None
+        if all(n.bit_length() <= MAX_OPERAND_BITS for n in parts(value)):
+            return value
+    raise argparse.ArgumentTypeError(f"operand exceeds the {MAX_OPERAND_BITS}-bit cap")
+
+
 def _int_arg(text: str) -> int:
-    try:
-        return parse_integer(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    return _capped(text, parse_integer, "integer", lambda n: (n,))
 
 
 def _gauss_arg(text: str) -> GaussianInteger:
-    try:
-        return parse_gaussian(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid Gaussian integer {text!r}") from None
+    return _capped(text, parse_gaussian, "Gaussian integer", lambda z: (z.re, z.im))
 
 
 def _emit_json(obj) -> None:
     print(dumps(obj, sort_keys=True))
 
 
-def _reason(exc: Exception) -> str:
-    if isinstance(exc, ZeroOperandError):
-        return "ZeroOperand"
-    if isinstance(exc, NotCoprimeError):
-        return "NotCoprime"
-    return "Domain"
+def _inv(a, m, classical):
+    value = mod_inverse(a, m).expect()
+    cls = classical_inverse(a, m).expect()
+    method = "unit-closed-form" if abs(m) == 1 else "extended-gcd"
+    text = f"{value} (classical: {cls})" if classical else str(value)
+    return {"a": a, "m": m, "inverse": value, "classical": cls, "method": method}, text
 
 
-def cmd_inv(args) -> int:
-    value = mod_inverse(args.a, args.m).expect()
-    cls = classical_inverse(args.a, args.m).expect()
-    if args.json:
-        _emit_json(
-            {
-                "a": args.a,
-                "m": args.m,
-                "inverse": value,
-                "classical": cls,
-                "method": "unit-closed-form" if abs(args.m) == 1 else "extended-gcd",
-            }
-        )
-    elif args.classical:
-        print(f"{value} (classical: {cls})")
-    else:
-        print(value)
-    return EXIT_OK
+def _classical_inv(a, m):
+    value = classical_inverse(a, m).expect()
+    return {"a": a, "m": m, "classical": value}, str(value)
 
 
-def cmd_classical_inv(args) -> int:
-    value = classical_inverse(args.a, args.m).expect()
-    if args.json:
-        _emit_json({"a": args.a, "m": args.m, "classical": value})
-    else:
-        print(value)
-    return EXIT_OK
+def _recip(a, b):
+    rep = reciprocity_check(a, b)
+    text = (f"inv_a_mod_b={rep.inv_a_mod_b} inv_b_mod_a={rep.inv_b_mod_a} "
+            f"lhs={rep.lhs} rhs={rep.rhs} k={rep.k} holds={str(rep.holds).lower()}")
+    return asdict(rep), text
 
 
-def cmd_recip(args) -> int:
-    rep = reciprocity_check(args.a, args.b)
-    if args.json:
-        _emit_json(asdict(rep))
-    else:
-        print(
-            f"inv_a_mod_b={rep.inv_a_mod_b} inv_b_mod_a={rep.inv_b_mod_a} "
-            f"lhs={rep.lhs} rhs={rep.rhs} k={rep.k} holds={str(rep.holds).lower()}"
-        )
-    return EXIT_OK
+def _reduce(a, b, k, minus):
+    value = (reduce_inverse_minus if minus else reduce_inverse_plus)(a, b, k)
+    obj = {"a": a, "b": b, "k": k, "form": "minus" if minus else "plus",
+           "modulus": k * a - b if minus else k * a + b, "inverse": value}
+    return obj, str(value)
 
 
-def cmd_reduce(args) -> int:
-    if args.minus:
-        value = reduce_inverse_minus(args.a, args.b, args.k)
-        target = args.k * args.a - args.b
-    else:
-        value = reduce_inverse_plus(args.a, args.b, args.k)
-        target = args.k * args.a + args.b
-    if args.json:
-        _emit_json(
-            {
-                "a": args.a,
-                "b": args.b,
-                "k": args.k,
-                "form": "minus" if args.minus else "plus",
-                "modulus": target,
-                "inverse": value,
-            }
-        )
-    else:
-        print(value)
-    return EXIT_OK
-
-
-def cmd_square_inv(args) -> int:
-    value = square_inverse(args.a, args.b)
-    if args.json:
-        _emit_json({"a": args.a, "b": args.b, "modulus": args.a * args.a, "inverse": value})
-    else:
-        print(value)
-    return EXIT_OK
+def _square_inv(a, b):
+    value = square_inverse(a, b)
+    return {"a": a, "b": b, "modulus": a * a, "inverse": value}, str(value)
 
 
 def _flags(flags) -> str:
-    if flags is None:
-        return "n/a"
-    return ",".join(str(f).lower() for f in flags)
+    return "n/a" if flags is None else ",".join(str(f).lower() for f in flags)
 
 
-def _print_quad(rep: QuadPairReport) -> None:
-    print(f"u={rep.u} v={rep.v} s={rep.s} t={rep.t}")
-    print(f"x1={rep.x[0]} x2={rep.x[1]} x3={rep.x[2]} x4={rep.x[3]}")
-    print(f"y1={rep.y[0]} y2={rep.y[1]} y3={rep.y[2]} y4={rep.y[3]}")
-    print(f"z1={rep.z[0]} z2={rep.z[1]} z3={rep.z[2]}")
-    print(f"pair_inverse_ok={_flags(rep.pair_inverse_ok)}")
-    print(f"sum_inverse_ok={_flags(rep.sum_inverse_ok)}")
-    print(f"proof_identity_ok={_flags(rep.proof_identity_ok)}")
+def _quad_text(rep: QuadPairReport) -> str:
+    return "\n".join((
+        f"u={rep.u} v={rep.v} s={rep.s} t={rep.t}",
+        f"x1={rep.x[0]} x2={rep.x[1]} x3={rep.x[2]} x4={rep.x[3]}",
+        f"y1={rep.y[0]} y2={rep.y[1]} y3={rep.y[2]} y4={rep.y[3]}",
+        f"z1={rep.z[0]} z2={rep.z[1]} z3={rep.z[2]}",
+        f"pair_inverse_ok={_flags(rep.pair_inverse_ok)}",
+        f"sum_inverse_ok={_flags(rep.sum_inverse_ok)}",
+        f"proof_identity_ok={_flags(rep.proof_identity_ok)}",
+    ))
 
 
-def cmd_quad(args) -> int:
-    rep = quad_pair_inverses(args.a, args.b, args.c, args.d)
+def _quad(a, b, c, d):
+    rep = quad_pair_inverses(a, b, c, d)
+    return asdict(rep), _quad_text(rep)
+
+
+def _sums(a, b, c, d):
+    rep = sum_of_squares_inverses(a, b, c, d)
+    values = {f"{p}_inv_mod_{n}": mod_inverse(getattr(rep, p), getattr(rep, n)).expect()
+              for n in "uv" for p in "st"}
+    text = _quad_text(rep) + "\n" + " ".join(f"{k}={v}" for k, v in values.items())
+    return asdict(rep) | values, text
+
+
+def _gauss_inv(z, w):
+    representative, canonical = map(format_gaussian, gaussian_inverse(z, w))
+    obj = {"z": format_gaussian(z), "w": format_gaussian(w),
+           "representative": representative, "canonical": canonical}
+    return obj, f"representative {representative}\ncanonical {canonical}"
+
+
+def _gauss_linear_inv(a, b):
+    value = format_gaussian(inverse_mod_gaussian_linear(a, b))
+    modulus = format_gaussian(GaussianInteger(b, a))
+    return {"a": a, "b": b, "modulus": modulus, "inverse": value}, value
+
+
+class Command(NamedTuple):
+    """A compute subcommand: compute(*operands[, flag]) returns (JSON object, text)."""
+
+    help: str
+    operands: str  # one single-letter name per positional operand
+    compute: Callable
+    operand_type: Callable = _int_arg
+    flag: tuple[str, str] | None = None  # (option, help) of one store_true flag
+
+
+COMMANDS = {
+    "inv": Command("windowed inverse of a modulo m", "am", _inv,
+                   flag=("--classical", "also show the classical value")),
+    "classical-inv": Command("classical inverse in [0, |m|-1]", "am", _classical_inv),
+    "recip": Command("check a*inv_a + b*inv_b = 1 + a*b", "ab", _recip),
+    "reduce": Command("inverse of a modulo k*a+b (or k*a-b) from smaller inverses", "abk",
+                      _reduce, flag=("--minus", "use the k*a-b form")),
+    "square-inv": Command("inverse of b^2 modulo a^2", "ab", _square_inv),
+    "quad": Command("cross-pair inverse report for (a,b,c,d)", "abcd", _quad),
+    "sums": Command("sum-of-squares inverse report for (a,b,c,d)", "abcd", _sums),
+    "gauss-inv": Command("inverse of z modulo w in Z[i]", "zw", _gauss_inv, _gauss_arg),
+    "gauss-linear-inv": Command("inverse of the integer a modulo a*i + b", "ab",
+                                _gauss_linear_inv),
+}
+
+
+def _run_command(args) -> int:
+    """Compute one table subcommand and print its text or JSON result."""
+    command = COMMANDS[args.command]
+    operands = [getattr(args, name) for name in command.operands]
+    if command.flag:
+        operands.append(getattr(args, command.flag[0].lstrip("-")))
+    obj, text = command.compute(*operands)
     if args.json:
-        _emit_json(asdict(rep))
+        _emit_json(obj)
     else:
-        _print_quad(rep)
+        print(text)
     return EXIT_OK
-
-
-def cmd_sums(args) -> int:
-    rep = sum_of_squares_inverses(args.a, args.b, args.c, args.d)
-    values = {
-        "s_inv_mod_u": mod_inverse(rep.s, rep.u).expect(),
-        "t_inv_mod_u": mod_inverse(rep.t, rep.u).expect(),
-        "s_inv_mod_v": mod_inverse(rep.s, rep.v).expect(),
-        "t_inv_mod_v": mod_inverse(rep.t, rep.v).expect(),
-    }
-    if args.json:
-        _emit_json(asdict(rep) | values)
-    else:
-        _print_quad(rep)
-        print(" ".join(f"{k}={v}" for k, v in values.items()))
-    return EXIT_OK
-
-
-def cmd_gauss_inv(args) -> int:
-    representative, canonical = gaussian_inverse(args.z, args.w)
-    if args.json:
-        _emit_json(
-            {
-                "z": format_gaussian(args.z),
-                "w": format_gaussian(args.w),
-                "representative": format_gaussian(representative),
-                "canonical": format_gaussian(canonical),
-            }
-        )
-    else:
-        print(f"representative {format_gaussian(representative)}")
-        print(f"canonical {format_gaussian(canonical)}")
-    return EXIT_OK
-
-
-def cmd_gauss_linear_inv(args) -> int:
-    value = inverse_mod_gaussian_linear(args.a, args.b)
-    modulus = GaussianInteger(args.b, args.a)
-    if args.json:
-        _emit_json(
-            {
-                "a": args.a,
-                "b": args.b,
-                "modulus": format_gaussian(modulus),
-                "inverse": format_gaussian(value),
-            }
-        )
-    else:
-        print(format_gaussian(value))
-    return EXIT_OK
-
-
-def _build_config(args) -> SweepConfig:
-    config = SweepConfig()
-    if args.config:
-        config = load_sweep_config(args.config, config)
-    overrides = {}
-    for flag, field_name in (
-        ("bound", "bound"),
-        ("k_bound", "k_bound"),
-        ("gaussian_bound", "gaussian_bound"),
-        ("shards", "shard_count"),
-    ):
-        value = getattr(args, flag)
-        if value is not None:
-            overrides[field_name] = value
-    return replace(config, **overrides)
 
 
 def cmd_verify(args) -> int:
+    overrides = {"bound": args.bound, "k_bound": args.k_bound,
+                 "gaussian_bound": args.gaussian_bound, "shard_count": args.shards}
     try:
-        config = _build_config(args)
+        config = load_sweep_config(args.config) if args.config else SweepConfig()
+        config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
     except (DomainError, ValueError, OSError) as exc:
         print(f"modrecip verify: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -279,32 +218,24 @@ def cmd_verify(args) -> int:
 
 def cmd_bench(args) -> int:
     if not bench_mod.MIN_BITS <= args.bits <= bench_mod.MAX_BITS:
-        print(
-            f"modrecip bench: error: --bits must be in "
-            f"[{bench_mod.MIN_BITS}, {bench_mod.MAX_BITS}]",
-            file=sys.stderr,
-        )
+        print(f"modrecip bench: error: --bits must be in "
+              f"[{bench_mod.MIN_BITS}, {bench_mod.MAX_BITS}]", file=sys.stderr)
         return EXIT_USAGE
     if args.iters < 1:
         print("modrecip bench: error: --iters must be at least 1", file=sys.stderr)
         return EXIT_USAGE
     report = bench_mod.run_bench(args.bits, args.iters, args.seed)
     if not report.all_agreed:
-        print(
-            f"modrecip bench: routes disagreed on "
-            f"{report.iterations - report.agreement_count} trial(s); no timing report",
-            file=sys.stderr,
-        )
+        print(f"modrecip bench: routes disagreed on {report.iterations - report.agreement_count}"
+              " trial(s); no timing report", file=sys.stderr)
         return EXIT_COUNTEREXAMPLE
     if args.json:
         _emit_json(asdict(report))
     else:
         print(f"bit_width={report.bit_width} iterations={report.iterations} seed={report.seed}")
-        print(
-            f"median_ns_reciprocity={report.median_ns_reciprocity} "
-            f"median_ns_ext_gcd={report.median_ns_ext_gcd} "
-            f"agreement_count={report.agreement_count}"
-        )
+        print(f"median_ns_reciprocity={report.median_ns_reciprocity} "
+              f"median_ns_ext_gcd={report.median_ns_ext_gcd} "
+              f"agreement_count={report.agreement_count}")
     return EXIT_OK
 
 
@@ -315,56 +246,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="modrecip", description="Signed modular inverses and identities")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("inv", parents=[common], help="windowed inverse of a modulo m")
-    p.add_argument("a", type=_int_arg)
-    p.add_argument("m", type=_int_arg)
-    p.add_argument("--classical", action="store_true", help="also show the classical value")
-    p.set_defaults(func=cmd_inv)
-
-    p = sub.add_parser("classical-inv", parents=[common], help="classical inverse in [0, |m|-1]")
-    p.add_argument("a", type=_int_arg)
-    p.add_argument("m", type=_int_arg)
-    p.set_defaults(func=cmd_classical_inv)
-
-    p = sub.add_parser("recip", parents=[common], help="check a*inv_a + b*inv_b = 1 + a*b")
-    p.add_argument("a", type=_int_arg)
-    p.add_argument("b", type=_int_arg)
-    p.set_defaults(func=cmd_recip)
-
-    p = sub.add_parser("reduce", parents=[common],
-                       help="inverse of a modulo k*a+b (or k*a-b) from smaller inverses")
-    p.add_argument("a", type=_int_arg)
-    p.add_argument("b", type=_int_arg)
-    p.add_argument("k", type=_int_arg)
-    p.add_argument("--minus", action="store_true", help="use the k*a-b form")
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("square-inv", parents=[common], help="inverse of b^2 modulo a^2")
-    p.add_argument("a", type=_int_arg)
-    p.add_argument("b", type=_int_arg)
-    p.set_defaults(func=cmd_square_inv)
-
-    p = sub.add_parser("quad", parents=[common], help="cross-pair inverse report for (a,b,c,d)")
-    for name in "abcd":
-        p.add_argument(name, type=_int_arg)
-    p.set_defaults(func=cmd_quad)
-
-    p = sub.add_parser("sums", parents=[common],
-                       help="sum-of-squares inverse report for (a,b,c,d)")
-    for name in "abcd":
-        p.add_argument(name, type=_int_arg)
-    p.set_defaults(func=cmd_sums)
-
-    p = sub.add_parser("gauss-inv", parents=[common], help="inverse of z modulo w in Z[i]")
-    p.add_argument("z", type=_gauss_arg)
-    p.add_argument("w", type=_gauss_arg)
-    p.set_defaults(func=cmd_gauss_inv)
-
-    p = sub.add_parser("gauss-linear-inv", parents=[common],
-                       help="inverse of the integer a modulo a*i + b")
-    p.add_argument("a", type=_int_arg)
-    p.add_argument("b", type=_int_arg)
-    p.set_defaults(func=cmd_gauss_linear_inv)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=command.help)
+        for operand in command.operands:
+            p.add_argument(operand, type=command.operand_type)
+        if command.flag:
+            p.add_argument(command.flag[0], action="store_true", help=command.flag[1])
+        p.set_defaults(func=_run_command)
 
     p = sub.add_parser("verify", parents=[common], help="run every verification sweep")
     p.add_argument("--bound", type=_int_arg, default=None, help="reciprocity/oracle operand bound")
@@ -390,17 +278,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
-    except (ZeroOperandError, NotCoprimeError, DomainError) as exc:
-        reason = _reason(exc)
-        if getattr(args, "json", False):
-            _emit_json({"error": reason, "detail": str(exc)})
-        else:
-            print(f"error: {reason}: {exc}", file=sys.stderr)
-        return EXIT_UNDEFINED
+        args = build_parser().parse_args(argv)
+        try:
+            return args.func(args)
+        except (ZeroOperandError, NotCoprimeError, DomainError) as exc:
+            reason = type(exc).__name__.removesuffix("Error")
+            if args.json:
+                _emit_json({"error": reason, "detail": str(exc)})
+            else:
+                print(f"error: {reason}: {exc}", file=sys.stderr)
+            return EXIT_UNDEFINED
+    finally:
+        # callers that run main in-process keep their own limit
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,8 @@ import pytest
 from modrecip import bench as bench_mod
 from modrecip import cli
 from modrecip.bench import BenchReport
-from modrecip.cli import main
+from modrecip.cli import MAX_OPERAND_BITS, main
+from modrecip.core import mod_inverse
 from modrecip.verify import SweepResult
 
 
@@ -146,10 +149,46 @@ def test_gauss_linear_inv(capsys):
 
 def test_usage_errors_exit_1(capsys):
     for argv in (["inv", "7"], ["inv", "x", "3"], ["gauss-inv", "1+zi", "2+1i"], [],
-                 ["inv", "3", "7", "--seed", "5"]):
+                 ["inv", "3", "7", "--seed", "5"], ["inv", "", "5"], ["inv", " ", "5"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 1
+
+
+def test_wide_hex_inv_prints_in_full(capsys):
+    rng = random.Random(16000)
+    while True:
+        a, m = (rng.getrandbits(16000) | 1 << 15999 for _ in range(2))
+        if math.gcd(a, m) == 1:
+            break
+    limit = sys.get_int_max_str_digits()
+    code, text, _ = run(capsys, "inv", "--", hex(a), hex(m))
+    code_json, out, _ = run(capsys, "inv", "--json", "--", hex(a), hex(m))
+    assert sys.get_int_max_str_digits() == limit  # main hands back the caller's limit
+    assert code == code_json == 0
+    want = mod_inverse(a, m).expect()
+    sys.set_int_max_str_digits(0)  # the 4817-digit result is past the default limit
+    try:
+        assert int(text) == want and json.loads(out)["inverse"] == want
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_wide_decimal_operand_accepted(capsys):
+    a = "1" + "0" * 4998 + "1"  # 10**4999 + 1, past the interpreter's 4300-digit limit
+    code, out, _ = run(capsys, "inv", a, "1000003")
+    assert code == 0 and int(out) == mod_inverse(10**4999 + 1, 1000003).expect()
+
+
+def test_operand_cap_exit_1(capsys):
+    assert MAX_OPERAND_BITS == 65536
+    too_wide = "0x1" + "0" * (MAX_OPERAND_BITS // 4)  # 2**65536 has 65537 bits
+    for argv in (["inv", too_wide, "7"], ["recip", "7", "9" * 20000],
+                 ["gauss-inv", "9" * 19730 + "+1i", "2+1i"], ["inv", "7", "1" * 70000]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "65536-bit cap" in capsys.readouterr().err
 
 
 def test_verify_small_bound(capsys):
