@@ -10,6 +10,7 @@ family of modulus-shifting identities, and Gaussian integer inversion.
 from .bench import BenchReport, run_bench
 from .core import (
     DomainError,
+    InvariantError,
     InverseFailure,
     InverseOutcome,
     NotCoprimeError,
@@ -59,6 +60,7 @@ __all__ = [
     "DomainError",
     "GaussianDivMod",
     "GaussianInteger",
+    "InvariantError",
     "InverseFailure",
     "InverseOutcome",
     "NotCoprimeError",

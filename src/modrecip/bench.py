@@ -1,9 +1,11 @@
-"""Timing harness comparing the two inversion routes on wide operands.
+"""Timing harness comparing three inversion routes on wide operands.
 
-Correctness gates the numbers: every trial's reciprocity-route result is
-compared against the extended-gcd route, and a report should only be
-shown when they agreed on all of them.  Timings are comparative
-instrumentation, not an acceptance threshold.
+The routes are the reciprocity climb, the pure-Python extended gcd (its
+Bezout coefficient reduced into the signed window) and ``mod_inverse``,
+which is the built-in ``pow(a, -1, m)``.  Correctness gates the numbers:
+a trial counts as agreeing only when all three routes give the same
+inverse, and a report should only be shown when every trial agreed.
+Timings are comparative instrumentation, not an acceptance threshold.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import statistics
 import time
 from dataclasses import dataclass
 
-from .core import DomainError, mod_inverse
+from .core import DomainError, extended_gcd, mod_inverse
 from .recip import inverse_via_reciprocity
 
 MIN_BITS = 64
@@ -28,7 +30,8 @@ class BenchReport:
     seed: int  # reprinting with this seed reproduces the operand stream
     median_ns_reciprocity: int
     median_ns_ext_gcd: int
-    agreement_count: int
+    median_ns_pow: int
+    agreement_count: int  # trials on which all three routes agreed
 
     @property
     def all_agreed(self) -> bool:
@@ -44,7 +47,7 @@ def _random_coprime_pair(rng: random.Random, bits: int) -> tuple[int, int]:
 
 
 def run_bench(bit_width: int, iterations: int, seed: int | None = None) -> BenchReport:
-    """Time both inversion routes on random coprime pairs of one width."""
+    """Time the three inversion routes on random coprime pairs of one width."""
     if not MIN_BITS <= bit_width <= MAX_BITS:
         raise DomainError(f"bit_width must be in [{MIN_BITS}, {MAX_BITS}]")
     if iterations < 1:
@@ -55,17 +58,22 @@ def run_bench(bit_width: int, iterations: int, seed: int | None = None) -> Bench
 
     recip_ns: list[int] = []
     gcd_ns: list[int] = []
+    pow_ns: list[int] = []
     agreement = 0
     for _ in range(iterations):
         a, m = _random_coprime_pair(rng, bit_width)
         t0 = time.perf_counter_ns()
         via_recip = inverse_via_reciprocity(a, m)
         t1 = time.perf_counter_ns()
-        via_gcd = mod_inverse(a, m)
+        g, x, _ = extended_gcd(a, m)
+        via_gcd = x % m
         t2 = time.perf_counter_ns()
+        via_pow = mod_inverse(a, m)
+        t3 = time.perf_counter_ns()
         recip_ns.append(t1 - t0)
         gcd_ns.append(t2 - t1)
-        agreement += via_recip.result == via_gcd.result
+        pow_ns.append(t3 - t2)
+        agreement += g == 1 and via_recip.result == via_gcd == via_pow.result
 
     return BenchReport(
         bit_width=bit_width,
@@ -73,5 +81,6 @@ def run_bench(bit_width: int, iterations: int, seed: int | None = None) -> Bench
         seed=seed,
         median_ns_reciprocity=int(statistics.median(recip_ns)),
         median_ns_ext_gcd=int(statistics.median(gcd_ns)),
+        median_ns_pow=int(statistics.median(pow_ns)),
         agreement_count=agreement,
     )

@@ -235,6 +235,7 @@ def cmd_bench(args) -> int:
         print(f"bit_width={report.bit_width} iterations={report.iterations} seed={report.seed}")
         print(f"median_ns_reciprocity={report.median_ns_reciprocity} "
               f"median_ns_ext_gcd={report.median_ns_ext_gcd} "
+              f"median_ns_pow={report.median_ns_pow} "
               f"agreement_count={report.agreement_count}")
     return EXIT_OK
 
@@ -267,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", parents=[common],
-                       help="time reciprocity-route inversion against extended gcd")
+                       help="time reciprocity-route inversion against extended gcd and pow")
     p.add_argument("--bits", type=_int_arg, required=True, help="operand width in bits")
     p.add_argument("--iters", type=_int_arg, default=1000, help="number of trials")
     p.add_argument("--seed", type=_int_arg, metavar="U64", default=None,

@@ -31,6 +31,10 @@ class DomainError(ValueError):
     """Inputs fall outside an operation's stated hypotheses."""
 
 
+class InvariantError(ArithmeticError):
+    """A result failed its own post-check: a fault in the code, not the input."""
+
+
 class InverseFailure(Enum):
     """Why an inverse is undefined.  Values are the CLI reason tokens."""
 

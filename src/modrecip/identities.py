@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 from .core import (
     DomainError,
+    InvariantError,
     NotCoprimeError,
     ZeroOperandError,
-    floor_mod,
     mod_inverse,
     sign,
 )
@@ -149,11 +149,13 @@ def quad_pair_inverses(a: int, b: int, c: int, d: int) -> QuadPairReport:
     z2 = c * inv_dc + d * (d - inv_cd)
     z3 = c * (c - inv_dc) + d * inv_cd
 
+    # x_i and y_i are inverses iff their product is 1 modulo n; for |n| > 1
+    # that is the same as mod_inverse(x_i, n) == floor_mod(y_i, n)
     pair_ok = (
-        mod_inverse(x1, u).expect() == floor_mod(y1, u),
-        mod_inverse(x2, u).expect() == floor_mod(y2, u),
-        mod_inverse(x3, v).expect() == floor_mod(y3, v),
-        mod_inverse(x4, v).expect() == floor_mod(y4, v),
+        (x1 * y1 - 1) % u == 0,
+        (x2 * y2 - 1) % u == 0,
+        (x3 * y3 - 1) % v == 0,
+        (x4 * y4 - 1) % v == 0,
     )
 
     sum_ok = None
@@ -161,11 +163,12 @@ def quad_pair_inverses(a: int, b: int, c: int, d: int) -> QuadPairReport:
     if math.gcd(u, v) == 1:
         inv_vu = mod_inverse(v, u).expect()
         inv_uv = mod_inverse(u, v).expect()
+        # y1*inv(v mod u) inverts s modulo u, and so on
         sum_ok = (
-            floor_mod(y1 * inv_vu, u) == mod_inverse(s, u).expect(),
-            floor_mod(x1 * inv_vu, u) == mod_inverse(t, u).expect(),
-            floor_mod(y4 * inv_uv, v) == mod_inverse(s, v).expect(),
-            floor_mod(x4 * inv_uv, v) == mod_inverse(t, v).expect(),
+            (s * y1 * inv_vu - 1) % u == 0,
+            (t * x1 * inv_vu - 1) % u == 0,
+            (s * y4 * inv_uv - 1) % v == 0,
+            (t * x4 * inv_uv - 1) % v == 0,
         )
         proof_ok = (
             s * y1 == v + u * z1,
@@ -204,7 +207,8 @@ def positive_case_exact(a: int, b: int, c: int, d: int) -> int:
     """y1 as the exact windowed inverse of x1 modulo u, for positive inputs.
 
     With a, b, c, d > 0 the value y1 already lies in (0, u), so no modular
-    reduction is needed; the function asserts that before returning.
+    reduction is needed; the function checks that, and that x1*y1 = 1
+    (mod u), before returning.
     """
     if min(a, b, c, d) <= 0:
         raise DomainError("all of a, b, c, d must be positive")
@@ -219,6 +223,8 @@ def positive_case_exact(a: int, b: int, c: int, d: int) -> int:
     inv_dc = mod_inverse(d, c).expect()
     x1 = a * inv_dc + b * (d - inv_cd)
     y1 = c * (a - inv_ba) + d * inv_ab
-    assert 0 < y1 < u, "positivity bound 0 < y1 < u failed"
-    assert mod_inverse(x1, u).expect() == y1
+    if not 0 < y1 < u:
+        raise InvariantError("positivity bound 0 < y1 < u failed")
+    if (x1 * y1 - 1) % u:
+        raise InvariantError("y1 is not the inverse of x1 modulo u")
     return y1

@@ -5,9 +5,10 @@ For coprime nonzero a, b the identity reads
     a * inv(a mod b) + b * inv(b mod a) = 1 + a*b
 
 and it stays exact for unit operands because of the signed closed form
-in :func:`modrecip.core.unit_inverse`.  Rearranged, it inverts one
-operand from the inverse of the other, which yields a full inversion
-algorithm that never runs the extended Euclidean algorithm.
+in :func:`modrecip.core.unit_inverse`.  Its corollary, the reduction
+identity, lifts both inverses of a Euclid pair one level up with no
+division, which yields a full inversion algorithm that never runs the
+extended Euclidean algorithm.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .core import (
+    InvariantError,
     InverseFailure,
     InverseOutcome,
     NotCoprimeError,
@@ -54,7 +56,8 @@ def reciprocity_check(a: int, b: int) -> ReciprocityReport:
     lhs = a * inv_a + b * inv_b
     rhs = 1 + a * b
     k, rem = divmod(lhs - 1, a * b)
-    assert rem == 0, "lhs - 1 must be a multiple of a*b"
+    if rem:
+        raise InvariantError("lhs - 1 must be a multiple of a*b")
     return ReciprocityReport(
         a=a,
         b=b,
@@ -68,33 +71,41 @@ def reciprocity_check(a: int, b: int) -> ReciprocityReport:
 
 
 def inverse_via_reciprocity(a: int, m: int) -> InverseOutcome:
-    """Invert a modulo m by reduce-and-swap, with no extended gcd anywhere.
+    """Invert a modulo m by a Euclid descent and a division-free climb.
 
-    Each step replaces the argument by its floor remainder (which has the
-    same inverse), swaps the roles, and finally back-substitutes through
-    the identity with one exact division per level.  Implemented as a loop
-    with an explicit frame stack so very wide operands cannot exhaust the
-    call stack.
+    The descent writes x = q*y + r with floor remainders, starting from
+    (x, y) = (a, m), and keeps each level's (q, y) until |y| = 1.  There
+    both inverses of the pair are closed forms: P = inv(x mod y) is the
+    signed unit value and S = inv(y mod x) is y mod x.  The climb carries
+    (P, S) back up one level at a time with the reduction identity
+
+        inv(y mod q*y + r) = q*(y - inv(r mod y)) + inv(y mod r),
+
+    so each level costs one small-by-large multiply and no division, and
+    the route is quadratic in the operand width.  It never runs the
+    extended Euclidean algorithm.  The result is checked before it is
+    returned, with a check that ``python -O`` keeps.
     """
     if a == 0 or m == 0:
         return InverseOutcome(failure=InverseFailure.ZERO_OPERAND)
     max_steps = 3 * min(abs(a), abs(m)).bit_length() + _STEP_SLACK
-    frames: list[tuple[int, int]] = []  # (residue, modulus), outermost first
+    levels: list[tuple[int, int]] = []  # (q, y), outermost first
     x, y = a, m
     while abs(y) != 1:
-        r = x % y
+        q, r = divmod(x, y)
         if r == 0:
             return InverseOutcome(failure=InverseFailure.NOT_COPRIME)
-        frames.append((r, y))
+        levels.append((q, y))
+        if len(levels) > max_steps:
+            raise InvariantError("reduction exceeded the Euclid step bound")
         x, y = y, r
-        assert len(frames) <= max_steps, "reduction exceeded the Euclid step bound"
-    inv = unit_inverse(x, y)
-    for r, b in reversed(frames):
-        # r*inv(r mod b) + b*inv(b mod r) = 1 + r*b, solved for the first term
-        q, rem = divmod(1 + r * b - b * inv, r)
-        assert rem == 0, "back-substitution division must be exact"
-        inv = q
-    return InverseOutcome(result=inv)
+    p, s = unit_inverse(x, y), y % x
+    for q, y in reversed(levels):
+        # one level up, inv(x mod y) = inv(r mod y) is the old S
+        p, s = s, q * (y - s) + p
+    if (a * p - 1) % m or not (0 <= p <= m or m <= p <= 0):
+        raise InvariantError("reciprocity climb did not end on the windowed inverse")
+    return InverseOutcome(result=p)
 
 
 def solve_diophantine(a: int, m: int) -> tuple[int, int]:
@@ -105,5 +116,6 @@ def solve_diophantine(a: int, m: int) -> tuple[int, int]:
         raise NotCoprimeError(f"gcd({a}, {m}) != 1")
     x = mod_inverse(a, m).expect()
     k, rem = divmod(a * x - 1, m)
-    assert rem == 0
+    if rem:
+        raise InvariantError("a*x - 1 must be a multiple of m")
     return x, k

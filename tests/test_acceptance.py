@@ -159,6 +159,7 @@ def test_criterion_7_bench_agreement(capsys):
         assert report.agreement_count == report.iterations == 1000
         assert report.median_ns_reciprocity > 0
         assert report.median_ns_ext_gcd > 0
+        assert report.median_ns_pow > 0
     assert elapsed < 30.0
     _report(capsys, "7 bench agreement 256/1024-bit", elapsed, 30.0)
     with capsys.disabled():
@@ -166,5 +167,6 @@ def test_criterion_7_bench_agreement(capsys):
             print(
                 f"  bench {report.bit_width}-bit: reciprocity "
                 f"{report.median_ns_reciprocity} ns, ext-gcd "
-                f"{report.median_ns_ext_gcd} ns (medians, not thresholded)"
+                f"{report.median_ns_ext_gcd} ns, pow "
+                f"{report.median_ns_pow} ns (medians, not thresholded)"
             )

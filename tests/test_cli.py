@@ -270,6 +270,7 @@ def test_bench_small(capsys):
     assert data["agreement_count"] == 3 == data["iterations"]
     assert data["seed"] == 7
     assert data["median_ns_reciprocity"] > 0
+    assert data["median_ns_ext_gcd"] > 0 and data["median_ns_pow"] > 0
 
 
 def test_bench_reports_seed_in_text(capsys):
@@ -288,6 +289,12 @@ def test_bench_parameter_validation(capsys):
     assert code == 1 and "--iters" in err
 
 
+def test_bench_counts_only_three_way_agreement(monkeypatch):
+    # a wrong Bezout coefficient makes the ext-gcd route disagree alone
+    monkeypatch.setattr(bench_mod, "extended_gcd", lambda a, m: (1, 0, 0))
+    assert bench_mod.run_bench(64, 3, seed=7).agreement_count == 0
+
+
 def test_bench_disagreement_suppresses_report(monkeypatch, capsys):
     fake = BenchReport(
         bit_width=64,
@@ -295,6 +302,7 @@ def test_bench_disagreement_suppresses_report(monkeypatch, capsys):
         seed=1,
         median_ns_reciprocity=10,
         median_ns_ext_gcd=10,
+        median_ns_pow=10,
         agreement_count=4,
     )
     monkeypatch.setattr(bench_mod, "run_bench", lambda *a, **k: fake)

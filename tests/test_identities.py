@@ -1,12 +1,17 @@
+import itertools
 import math
 
 import pytest
 
+from modrecip import identities
 from modrecip.core import (
     DomainError,
+    InvariantError,
+    InverseOutcome,
     NotCoprimeError,
     ZeroOperandError,
     classical_inverse,
+    floor_mod,
     mod_inverse,
 )
 from modrecip.identities import (
@@ -173,6 +178,41 @@ def test_quad_sweep_small():
             assert quad_pair_inverses(a, b, c, d).all_ok, (a, b, c, d)
 
 
+def _reinversion_flags(rep):
+    """The report's flags recomputed by re-inverting, as the reference."""
+    x, y, u, v = rep.x, rep.y, rep.u, rep.v
+    pair_ok = (
+        mod_inverse(x[0], u).expect() == floor_mod(y[0], u),
+        mod_inverse(x[1], u).expect() == floor_mod(y[1], u),
+        mod_inverse(x[2], v).expect() == floor_mod(y[2], v),
+        mod_inverse(x[3], v).expect() == floor_mod(y[3], v),
+    )
+    if math.gcd(u, v) != 1:
+        return pair_ok, None
+    inv_vu = mod_inverse(v, u).expect()
+    inv_uv = mod_inverse(u, v).expect()
+    sum_ok = (
+        floor_mod(y[0] * inv_vu, u) == mod_inverse(rep.s, u).expect(),
+        floor_mod(x[0] * inv_vu, u) == mod_inverse(rep.t, u).expect(),
+        floor_mod(y[3] * inv_uv, v) == mod_inverse(rep.s, v).expect(),
+        floor_mod(x[3] * inv_uv, v) == mod_inverse(rep.t, v).expect(),
+    )
+    return pair_ok, sum_ok
+
+
+def test_quad_product_flags_equal_reinversion_flags():
+    checked = 0
+    span = range(-9, 10)
+    for a, b, c, d in itertools.product(span, repeat=4):
+        try:
+            rep = quad_pair_inverses(a, b, c, d)
+        except (NotCoprimeError, DomainError, ZeroOperandError):
+            continue
+        assert (rep.pair_inverse_ok, rep.sum_inverse_ok) == _reinversion_flags(rep), (a, b, c, d)
+        checked += 1
+    assert checked == 44576
+
+
 def test_positive_case_examples():
     assert positive_case_exact(3, 2, 1, 2) == 3 == mod_inverse(5, 7).expect()
     assert positive_case_exact(2, 1, 1, 3) == 4 == mod_inverse(4, 5).expect()
@@ -185,6 +225,18 @@ def test_positive_case_rejects():
         positive_case_exact(-3, 2, 1, 2)
     with pytest.raises(NotCoprimeError):
         positive_case_exact(2, 4, 1, 3)
+
+
+def test_positive_case_checks_raise_on_wrong_inverses(monkeypatch):
+    # inverses shifted by their modulus are still inverses, but they move
+    # x1 and y1 off the exact positive-case values
+    monkeypatch.setattr(
+        identities, "mod_inverse", lambda a, m: InverseOutcome(result=pow(a, -1, m) + m)
+    )
+    with pytest.raises(InvariantError, match="not the inverse"):
+        positive_case_exact(3, 2, 1, 2)
+    with pytest.raises(InvariantError, match="positivity bound"):
+        positive_case_exact(5, 3, 2, 7)
 
 
 def test_positive_case_sweep_small():

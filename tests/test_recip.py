@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given
@@ -71,13 +76,48 @@ def test_inverse_via_reciprocity_matches_extended_gcd(a, m):
     assert inverse_via_reciprocity(a, m).result == mod_inverse(a, m).result
 
 
+def test_inverse_via_reciprocity_equals_mod_inverse_exhaustively():
+    # results and failures alike, unit moduli and unit operands included
+    for a in range(-80, 81):
+        for m in range(-80, 81):
+            got, want = inverse_via_reciprocity(a, m), mod_inverse(a, m)
+            assert (got.result, got.failure) == (want.result, want.failure), (a, m)
+
+
+def test_post_condition_survives_optimize_flag():
+    # a wrong unit base case must be caught by the final check even when
+    # the interpreter strips asserts
+    script = textwrap.dedent("""
+        from modrecip import recip
+        from modrecip.core import InvariantError
+
+        right = recip.unit_inverse
+        recip.unit_inverse = lambda a, m: right(a, m) + 1
+        caught = 0
+        for a, m in ((7, 22), (3, -5), (-2, -5), (97, 89)):
+            try:
+                recip.inverse_via_reciprocity(a, m)
+            except InvariantError:
+                caught += 1
+        print(__debug__, caught)
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "4"]
+
+
 def test_recursion_survives_fibonacci_worst_case():
-    # consecutive Fibonacci numbers maximize the reduction step count
+    # consecutive Fibonacci numbers maximize the reduction step count:
+    # every quotient is 1, here over more than 4096 bits
     f0, f1 = 1, 1
-    for _ in range(500):
+    while f1.bit_length() <= 4096:
         f0, f1 = f1, f0 + f1
-    got = inverse_via_reciprocity(f0, f1).expect()
-    assert got == mod_inverse(f0, f1).expect()
+    for a, m in ((f0, f1), (f1, f0), (-f0, f1), (f0, -f1)):
+        assert inverse_via_reciprocity(a, m).expect() == mod_inverse(a, m).expect()
 
 
 def test_recursion_handles_huge_asymmetric_operands():
