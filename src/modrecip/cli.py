@@ -15,7 +15,7 @@ from json import dumps
 from typing import Callable, NamedTuple
 
 from . import bench as bench_mod
-from .core import DomainError, NotCoprimeError, ZeroOperandError, classical_inverse, mod_inverse
+from .core import DomainError, NotCoprimeError, ZeroOperandError, classical_inverse, inverse
 from .gaussian import (GaussianInteger, format_gaussian, gaussian_inverse,
                        inverse_mod_gaussian_linear, parse_gaussian)
 from .identities import (QuadPairReport, quad_pair_inverses, reduce_inverse_minus,
@@ -77,7 +77,7 @@ def _emit_json(obj) -> None:
 
 
 def _inv(a, m, classical):
-    value = mod_inverse(a, m).expect()
+    value = inverse(a, m)
     cls = classical_inverse(a, m).expect()
     method = "unit-closed-form" if abs(m) == 1 else "extended-gcd"
     text = f"{value} (classical: {cls})" if classical else str(value)
@@ -129,10 +129,17 @@ def _quad(a, b, c, d):
     return asdict(rep), _quad_text(rep)
 
 
+def _sum_inverses(rep: QuadPairReport) -> dict[str, int]:
+    # s*y1 = t*x1 = v (mod u) and s*y4 = t*x4 = u (mod v), the products that
+    # sum_inverse_ok certifies, so two inverses give all four
+    iv, iu = inverse(rep.v, rep.u), inverse(rep.u, rep.v)
+    return {"s_inv_mod_u": rep.y[0] * iv % rep.u, "t_inv_mod_u": rep.x[0] * iv % rep.u,
+            "s_inv_mod_v": rep.y[3] * iu % rep.v, "t_inv_mod_v": rep.x[3] * iu % rep.v}
+
+
 def _sums(a, b, c, d):
     rep = sum_of_squares_inverses(a, b, c, d)
-    values = {f"{p}_inv_mod_{n}": mod_inverse(getattr(rep, p), getattr(rep, n)).expect()
-              for n in "uv" for p in "st"}
+    values = _sum_inverses(rep)
     text = _quad_text(rep) + "\n" + " ".join(f"{k}={v}" for k, v in values.items())
     return asdict(rep) | values, text
 

@@ -6,8 +6,11 @@ for m < -1. For a unit modulus (|m| = 1) it takes a signed closed-form
 value instead of the conventional 0, which is what makes the reciprocity
 identity in :mod:`modrecip.recip` hold without exceptions.
 
-For |m| > 1, :func:`mod_inverse` is the built-in ``pow(a, -1, m)`` (extended
-Euclid in C), whose result already follows the sign of m.  The pure-Python
+:func:`inverse` is the one inversion primitive: it returns the int and
+raises ZeroOperandError or NotCoprimeError.  For |m| > 1 it is the built-in
+``pow(a, -1, m)`` (extended Euclid in C), whose result already follows the
+sign of m.  :func:`mod_inverse` is the public-edge form that returns those
+two failures as an :class:`InverseOutcome` instead.  The pure-Python
 :func:`extended_gcd` stays as the independent Bezout-certificate oracle the
 verification sweeps check it against.
 """
@@ -67,7 +70,6 @@ class InverseOutcome:
         """Return the inverse, raising the matching error on failure."""
         if self.failure is not None:
             raise _FAILURE_EXC[self.failure](self.failure.value)
-        assert self.result is not None
         return self.result
 
 
@@ -122,22 +124,32 @@ def unit_inverse(a: int, m: int) -> int:
     return (sign(m) - sign(a)) // 2 + sign(a)
 
 
-def mod_inverse(a: int, m: int) -> InverseOutcome:
+def inverse(a: int, m: int) -> int:
     """Inverse of a modulo m in the sign-following window.
 
     For |m| > 1 the result x satisfies a*x = 1 (mod m) with x in
     [1, m-1] (m positive) or [m+1, -1] (m negative).  For |m| = 1 the
-    signed closed form is returned.  Failures come back as an outcome
-    rather than an exception: ZeroOperand when a*m = 0, NotCoprime when
-    gcd(a, m) != 1.
+    signed closed form is returned.  Raises ZeroOperandError when
+    a*m = 0 and NotCoprimeError when gcd(a, m) != 1.
     """
     if a == 0 or m == 0:
-        return InverseOutcome(failure=InverseFailure.ZERO_OPERAND)
+        raise ZeroOperandError("inverse needs a nonzero operand and modulus")
+    # a pow that fails on a shared factor costs far more than this gcd
     if math.gcd(a, m) != 1:
-        return InverseOutcome(failure=InverseFailure.NOT_COPRIME)
+        raise NotCoprimeError("operand and modulus share a factor")
     if abs(m) == 1:
-        return InverseOutcome(result=unit_inverse(a, m))
-    return InverseOutcome(result=pow(a, -1, m))
+        return unit_inverse(a, m)
+    return pow(a, -1, m)
+
+
+def mod_inverse(a: int, m: int) -> InverseOutcome:
+    """:func:`inverse` with its two failures returned as an outcome, not raised."""
+    try:
+        return InverseOutcome(result=inverse(a, m))
+    except ZeroOperandError:
+        return InverseOutcome(failure=InverseFailure.ZERO_OPERAND)
+    except NotCoprimeError:
+        return InverseOutcome(failure=InverseFailure.NOT_COPRIME)
 
 
 def classical_inverse(a: int, m: int) -> InverseOutcome:

@@ -8,12 +8,11 @@ an inverse deterministic and representative-independent.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import DomainError, NotCoprimeError, ZeroOperandError, mod_inverse
+from .core import DomainError, InvariantError, ZeroOperandError, inverse
 
 
 @dataclass(frozen=True)
@@ -94,7 +93,8 @@ def gaussian_divmod(n: GaussianInteger, d: GaussianInteger) -> GaussianDivMod:
     w = n * d.conjugate()
     q = GaussianInteger(_round_half_down(w.re, nd), _round_half_down(w.im, nd))
     r = n - d * q
-    assert 2 * r.norm() <= nd, "remainder norm bound failed"
+    if 2 * r.norm() > nd:
+        raise InvariantError("remainder norm bound failed")
     return GaussianDivMod(q, r)
 
 
@@ -113,8 +113,6 @@ def _check_inverse_hypotheses(z: GaussianInteger, w: GaussianInteger) -> tuple[i
     s, t = z.norm(), w.norm()
     if s <= 1 or t <= 1:
         raise DomainError("both norms must exceed 1")
-    if math.gcd(s, t) != 1:
-        raise NotCoprimeError(f"norms {s} and {t} share a factor")
     return s, t
 
 
@@ -128,7 +126,7 @@ def gaussian_inverse(
     satisfy z*value = 1 (mod w).
     """
     s, t = _check_inverse_hypotheses(z, w)
-    representative = z.conjugate() * mod_inverse(s, t).expect()
+    representative = z.conjugate() * inverse(s, t)
     canonical = gaussian_divmod(representative, w).remainder
     return representative, canonical
 
@@ -138,8 +136,8 @@ def gaussian_bezout_identity(a: int, b: int, c: int, d: int) -> bool:
     z = GaussianInteger(a, b)
     w = GaussianInteger(c, d)
     s, t = _check_inverse_hypotheses(z, w)
-    u = z.conjugate() * mod_inverse(s, t).expect()
-    v = w.conjugate() * mod_inverse(t, s).expect()
+    u = z.conjugate() * inverse(s, t)
+    v = w.conjugate() * inverse(t, s)
     lhs = z * u + w * v
     rhs = 1 + z * w * z.conjugate() * w.conjugate()
     return lhs == rhs
@@ -153,15 +151,9 @@ def inverse_mod_gaussian_linear(a: int, b: int) -> GaussianInteger:
     """
     if abs(a) <= 1:
         raise DomainError("inverse_mod_gaussian_linear needs |a| > 1")
-    if b == 0:
-        raise ZeroOperandError("b must be nonzero")
-    if math.gcd(a, b) != 1:
-        raise NotCoprimeError(f"gcd({a}, {b}) != 1")
-    value = GaussianInteger(
-        mod_inverse(a, b).expect(),
-        a - mod_inverse(b, a).expect(),
-    )
-    assert divides(GaussianInteger(b, a), value * a - 1)
+    value = GaussianInteger(inverse(a, b), a - inverse(b, a))
+    if not divides(GaussianInteger(b, a), value * a - 1):
+        raise InvariantError("a times the value is not 1 modulo a*i + b")
     return value
 
 

@@ -2,7 +2,9 @@
 
 Every operation here computes its result from previously known inverses
 (never by running a fresh gcd on the target modulus) and is designed to
-be swept against :func:`modrecip.core.mod_inverse` exhaustively.
+be swept against :func:`modrecip.core.mod_inverse` exhaustively.  Each
+starts from inverses taken with :func:`modrecip.core.inverse` and lets its
+ZeroOperandError and NotCoprimeError through unchanged.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from .core import (
     InvariantError,
     NotCoprimeError,
     ZeroOperandError,
-    mod_inverse,
+    inverse,
     sign,
 )
 
@@ -28,9 +30,7 @@ def shift_invariance(a: int, b: int, k: int) -> int:
     """
     if a == 0 or b == 0 or k * a + b == 0:
         raise ZeroOperandError("shift_invariance needs a, b and k*a+b nonzero")
-    if math.gcd(a, b) != 1:
-        raise NotCoprimeError(f"gcd({a}, {b}) != 1")
-    inv_b = mod_inverse(b, a).expect()
+    inv_b = inverse(b, a)
     if abs(a) > 1:
         return inv_b
     return inv_b + (sign(k * a + b) - sign(b)) // 2
@@ -49,15 +49,10 @@ def reduce_inverse_minus(a: int, b: int, k: int) -> int:
 def _reduce_inverse(a: int, b: int, k: int, plus: bool) -> int:
     if abs(a) == 1:
         raise DomainError("|a| = 1 is excluded from the reduction identities")
-    if a == 0 or b == 0:
-        raise ZeroOperandError("reduce_inverse needs nonzero a and b")
-    target = k * a + b if plus else k * a - b
-    if target == 0:
+    if (k * a + b if plus else k * a - b) == 0:
         raise ZeroOperandError("target modulus is zero")
-    if math.gcd(a, b) != 1:
-        raise NotCoprimeError(f"gcd({a}, {b}) != 1")
-    inv_b_mod_a = mod_inverse(b, a).expect()
-    inv_a_mod_b = mod_inverse(a, b).expect()
+    inv_b_mod_a = inverse(b, a)
+    inv_a_mod_b = inverse(a, b)
     if plus:
         return k * (a - inv_b_mod_a) + inv_a_mod_b
     return k * inv_b_mod_a - (b - inv_a_mod_b)
@@ -71,15 +66,12 @@ def square_inverse(a: int, b: int) -> int:
     """
     if abs(a) <= 1:
         raise DomainError("square_inverse needs |a| > 1")
-    if b == 0:
-        raise ZeroOperandError("square_inverse needs b nonzero")
-    if math.gcd(a, b) != 1:
-        raise NotCoprimeError(f"gcd({a}, {b}) != 1")
-    i = mod_inverse(b, a).expect()
+    i = inverse(b, a)
     mm = a * a
     form1 = ((b * i - 2) * i) ** 2 % mm
     form2 = (3 - 2 * b * i) * i * i % mm
-    assert form1 == form2, "the two square-inverse forms must agree"
+    if form1 != form2:
+        raise InvariantError("the two square-inverse forms disagree")
     return form1
 
 
@@ -132,10 +124,10 @@ def quad_pair_inverses(a: int, b: int, c: int, d: int) -> QuadPairReport:
     s = a * a + b * b
     t = c * c + d * d
 
-    inv_ab = mod_inverse(a, b).expect()  # inverse of a modulo b
-    inv_ba = mod_inverse(b, a).expect()
-    inv_cd = mod_inverse(c, d).expect()
-    inv_dc = mod_inverse(d, c).expect()
+    inv_ab = inverse(a, b)  # inverse of a modulo b
+    inv_ba = inverse(b, a)
+    inv_cd = inverse(c, d)
+    inv_dc = inverse(d, c)
 
     x1 = a * inv_dc + b * (d - inv_cd)
     x2 = a * (c - inv_dc) + b * inv_cd
@@ -150,7 +142,7 @@ def quad_pair_inverses(a: int, b: int, c: int, d: int) -> QuadPairReport:
     z3 = c * (c - inv_dc) + d * inv_cd
 
     # x_i and y_i are inverses iff their product is 1 modulo n; for |n| > 1
-    # that is the same as mod_inverse(x_i, n) == floor_mod(y_i, n)
+    # that is the same as inverse(x_i, n) == floor_mod(y_i, n)
     pair_ok = (
         (x1 * y1 - 1) % u == 0,
         (x2 * y2 - 1) % u == 0,
@@ -161,8 +153,8 @@ def quad_pair_inverses(a: int, b: int, c: int, d: int) -> QuadPairReport:
     sum_ok = None
     proof_ok = None
     if math.gcd(u, v) == 1:
-        inv_vu = mod_inverse(v, u).expect()
-        inv_uv = mod_inverse(u, v).expect()
+        inv_vu = inverse(v, u)
+        inv_uv = inverse(u, v)
         # y1*inv(v mod u) inverts s modulo u, and so on
         sum_ok = (
             (s * y1 * inv_vu - 1) % u == 0,
@@ -199,7 +191,7 @@ def sum_of_squares_inverses(a: int, b: int, c: int, d: int) -> QuadPairReport:
     """Quad report with the sum-of-squares identities required present."""
     report = quad_pair_inverses(a, b, c, d)
     if report.sum_inverse_ok is None:
-        raise NotCoprimeError(f"gcd(u, v) = gcd({report.u}, {report.v}) != 1")
+        raise NotCoprimeError("gcd(u, v) != 1")
     return report
 
 
@@ -217,10 +209,10 @@ def positive_case_exact(a: int, b: int, c: int, d: int) -> int:
     if a * d == b * c:
         raise DomainError("a*d = b*c makes v zero")
     u = a * c + b * d
-    inv_ab = mod_inverse(a, b).expect()
-    inv_ba = mod_inverse(b, a).expect()
-    inv_cd = mod_inverse(c, d).expect()
-    inv_dc = mod_inverse(d, c).expect()
+    inv_ab = inverse(a, b)
+    inv_ba = inverse(b, a)
+    inv_cd = inverse(c, d)
+    inv_dc = inverse(d, c)
     x1 = a * inv_dc + b * (d - inv_cd)
     y1 = c * (a - inv_ba) + d * inv_ab
     if not 0 < y1 < u:

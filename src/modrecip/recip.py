@@ -13,16 +13,13 @@ extended Euclidean algorithm.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .core import (
     InvariantError,
     InverseFailure,
     InverseOutcome,
-    NotCoprimeError,
-    ZeroOperandError,
-    mod_inverse,
+    inverse,
     unit_inverse,
 )
 
@@ -47,12 +44,8 @@ class ReciprocityReport:
 
 def reciprocity_check(a: int, b: int) -> ReciprocityReport:
     """Recompute both inverses and report whether lhs = 1 + a*b exactly."""
-    if a == 0 or b == 0:
-        raise ZeroOperandError("reciprocity needs nonzero operands")
-    if math.gcd(a, b) != 1:
-        raise NotCoprimeError(f"gcd({a}, {b}) != 1")
-    inv_a = mod_inverse(a, b).expect()
-    inv_b = mod_inverse(b, a).expect()
+    inv_a = inverse(a, b)
+    inv_b = inverse(b, a)
     lhs = a * inv_a + b * inv_b
     rhs = 1 + a * b
     k, rem = divmod(lhs - 1, a * b)
@@ -110,11 +103,7 @@ def inverse_via_reciprocity(a: int, m: int) -> InverseOutcome:
 
 def solve_diophantine(a: int, m: int) -> tuple[int, int]:
     """Solve a*x - k*m = 1; x is the windowed inverse, k the cofactor."""
-    if a == 0 or m == 0:
-        raise ZeroOperandError("solve_diophantine needs nonzero operands")
-    if math.gcd(a, m) != 1:
-        raise NotCoprimeError(f"gcd({a}, {m}) != 1")
-    x = mod_inverse(a, m).expect()
+    x = inverse(a, m)
     k, rem = divmod(a * x - 1, m)
     if rem:
         raise InvariantError("a*x - 1 must be a multiple of m")

@@ -23,7 +23,7 @@ from .core import (
     extended_gcd,
     floor_div,
     floor_mod,
-    mod_inverse,
+    inverse,
     unit_inverse,
 )
 from .gaussian import (
@@ -187,7 +187,7 @@ def _unit_modulus_cases(config, chunk):
     for a in chunk:
         for m in (1, -1):
             expected = (1 if a > 0 else 0) if m == 1 else (0 if a > 0 else -1)
-            got = mod_inverse(a, m).expect()
+            got = inverse(a, m)
             yield None if got == expected else f"a={a} m={m} got={got} expected={expected}"
 
 
@@ -198,7 +198,7 @@ def run_unit_modulus_sweep(config: SweepConfig, limit: int = 100) -> SweepResult
 
 def _divergence_cases(config, chunk):
     for m, a in _coprime(chunk, signed_range(config.bound)):
-        new = mod_inverse(a, m).expect()
+        new = inverse(a, m)
         cls = classical_inverse(a, m).expect()
         if m > 1:
             ok = new == cls
@@ -223,7 +223,7 @@ def run_divergence_sweep(config: SweepConfig) -> SweepResult:
 def _oracle_cases(config, chunk):
     for m, a in _coprime(chunk, signed_range(config.bound)):
         lo, hi = (1, m - 1) if m > 0 else (m + 1, -1)
-        v = mod_inverse(a, m).expect()
+        v = inverse(a, m)
         ok = lo <= v <= hi and a * v % m == 1 % m
         ok = ok and v == brute_force_inverse(a, m).expect()
         ok = ok and v == inverse_via_reciprocity(a, m).expect()
@@ -246,8 +246,8 @@ def _reciprocity_cases(config, chunk):
 
 def _reciprocity_classical_cases(config, chunk):
     for a, b in _coprime(chunk, signed_range(config.bound)):
-        inv_a = 0 if abs(b) == 1 else mod_inverse(a, b).expect()
-        inv_b = 0 if abs(a) == 1 else mod_inverse(b, a).expect()
+        inv_a = 0 if abs(b) == 1 else inverse(a, b)
+        inv_b = 0 if abs(a) == 1 else inverse(b, a)
         breaks = a * inv_a + b * inv_b != 1 + a * b
         delta = (a * unit_inverse(a, b) if abs(b) == 1 else 0) + (
             b * unit_inverse(b, a) if abs(a) == 1 else 0
@@ -280,7 +280,7 @@ def _shift_cases(config, chunk):
             if k * a + b == 0:
                 continue
             got = shift_invariance(a, b, k)
-            want = mod_inverse(k * a + b, a).expect()
+            want = inverse(k * a + b, a)
             yield None if got == want else f"a={a} b={b} k={k} got={got} want={want}"
 
 
@@ -298,7 +298,7 @@ def _reduction_cases(config, chunk):
                 if target == 0:
                     continue
                 got = (reduce_inverse_plus if plus else reduce_inverse_minus)(a, b, k)
-                want = mod_inverse(a, target).expect()
+                want = inverse(a, target)
                 form, ok = "+" if plus else "-", got == want
                 yield None if ok else f"a={a} b={b} k={k} form={form} got={got} want={want}"
 
@@ -306,8 +306,8 @@ def _reduction_cases(config, chunk):
 def _reduction_classical_cases(config, chunk):
     ks = range(-config.k_bound, config.k_bound + 1)
     for a, b in _coprime(chunk, signed_range(config.reduce_bound)):
-        inv_ba = mod_inverse(b, a).expect()
-        inv_ab = 0 if abs(b) == 1 else mod_inverse(a, b).expect()
+        inv_ba = inverse(b, a)
+        inv_ab = 0 if abs(b) == 1 else inverse(a, b)
         predicted = abs(b) == 1 and unit_inverse(a, b) != 0
         for k in ks:
             for plus in (True, False):
@@ -315,7 +315,7 @@ def _reduction_classical_cases(config, chunk):
                 if target == 0 or abs(target) == 1:
                     continue
                 formula = k * (a - inv_ba) + inv_ab if plus else k * inv_ba - (b - inv_ab)
-                breaks = formula != mod_inverse(a, target).expect()
+                breaks = formula != inverse(a, target)
                 if breaks == predicted:
                     yield BREAK if breaks else None
                 else:
@@ -342,7 +342,7 @@ def run_reduction_sweep(config: SweepConfig, classical_units: bool = False) -> S
 def _square_cases(config, chunk):
     for a, b in _coprime(chunk, signed_range(config.square_bound)):
         got = square_inverse(a, b)
-        want = mod_inverse(b * b, a * a).expect()
+        want = inverse(b * b, a * a)
         yield None if got == want else f"a={a} b={b} got={got} want={want}"
 
 
@@ -420,11 +420,11 @@ def run_gaussian_linear_sweep(config: SweepConfig) -> SweepResult:
 
 
 def _fixture_cases(config, chunk):
-    direct = mod_inverse(7, 22).expect()
+    direct = inverse(7, 22)
     yield None if direct == 19 else "direct inv(7 mod 22) = 19"
     replay = reduce_inverse_plus(7, 1, 3)
     yield None if replay == direct == 19 else "reduction replay = 19"
-    classical_replay = 3 * (7 - mod_inverse(1, 3).expect()) + classical_inverse(7, 1).expect()
+    classical_replay = 3 * (7 - inverse(1, 3)) + classical_inverse(7, 1).expect()
     ok = classical_replay == 18 and classical_replay != direct
     yield None if ok else "classical replay = 18 != 19"
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -12,7 +13,8 @@ from modrecip import bench as bench_mod
 from modrecip import cli
 from modrecip.bench import BenchReport
 from modrecip.cli import MAX_OPERAND_BITS, main
-from modrecip.core import mod_inverse
+from modrecip.core import DomainError, NotCoprimeError, ZeroOperandError, inverse, mod_inverse
+from modrecip.identities import sum_of_squares_inverses
 from modrecip.verify import SweepResult
 
 
@@ -112,6 +114,24 @@ def test_quad_and_sums(capsys):
     assert data["s_inv_mod_u"] == 6 and data["t_inv_mod_u"] == 3
     code, _, _ = run(capsys, "sums", "2", "1", "1", "3")
     assert code == 2  # gcd(u, v) = 5
+
+
+def test_sum_inverses_equal_direct_inverses():
+    # sums reads the four inverses off two; they must equal inverting s and t
+    # directly on every valid quadruple in [-9, 9]^4 and on a 1024-bit one
+    rng = random.Random(1032)
+    wide = [rng.choice((1, -1)) * (rng.getrandbits(1024) | 1 << 1023) for _ in range(4)]
+    checked = 0
+    for quad in [*itertools.product(range(-9, 10), repeat=4), wide]:
+        try:
+            rep = sum_of_squares_inverses(*quad)
+        except (DomainError, NotCoprimeError, ZeroOperandError):
+            continue
+        want = {f"{p}_inv_mod_{n}": inverse(getattr(rep, p), getattr(rep, n))
+                for n in "uv" for p in "st"}
+        assert cli._sum_inverses(rep) == want, quad
+        checked += 1
+    assert checked == 35136 + 1
 
 
 def test_quad_text_layout(capsys):

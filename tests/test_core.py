@@ -15,6 +15,7 @@ from modrecip.core import (
     extended_gcd,
     floor_div,
     floor_mod,
+    inverse,
     mod_inverse,
     sign,
     unit_inverse,
@@ -103,6 +104,21 @@ def test_mod_inverse_failures():
         mod_inverse(2, 4).expect()
     with pytest.raises(ZeroOperandError):
         mod_inverse(0, 5).expect()
+
+
+def test_inverse_matches_outcome_form():
+    # the raising primitive and the outcome form agree on every signed pair,
+    # zero and unit operands included
+    for a in range(-80, 81):
+        for m in range(-80, 81):
+            outcome = mod_inverse(a, m)
+            if outcome.ok:
+                assert inverse(a, m) == outcome.result, (a, m)
+                continue
+            with pytest.raises(ValueError) as raised:
+                outcome.expect()
+            with pytest.raises(raised.type):
+                inverse(a, m)
 
 
 def test_outcome_requires_exactly_one_side():

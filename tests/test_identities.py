@@ -7,7 +7,6 @@ from modrecip import identities
 from modrecip.core import (
     DomainError,
     InvariantError,
-    InverseOutcome,
     NotCoprimeError,
     ZeroOperandError,
     classical_inverse,
@@ -43,6 +42,10 @@ def test_shift_invariance_examples():
 def test_shift_invariance_rejects_zero_target():
     with pytest.raises(ZeroOperandError):
         shift_invariance(3, -6, 2)
+    with pytest.raises(ZeroOperandError):
+        shift_invariance(0, 5, 1)
+    with pytest.raises(ZeroOperandError):
+        shift_invariance(3, 0, 1)
     with pytest.raises(NotCoprimeError):
         shift_invariance(4, 6, 1)
 
@@ -76,6 +79,13 @@ def test_reduction_rejects_zero_target():
         reduce_inverse_plus(3, -6, 2)
     with pytest.raises(ZeroOperandError):
         reduce_inverse_minus(3, 6, 2)
+    for reduce in (reduce_inverse_plus, reduce_inverse_minus):
+        with pytest.raises(ZeroOperandError):
+            reduce(3, 0, 1)
+        with pytest.raises(ZeroOperandError):
+            reduce(0, 5, 1)
+        with pytest.raises(NotCoprimeError):
+            reduce(4, 6, 1)
 
 
 def test_classical_unit_value_breaks_the_reduction():
@@ -142,6 +152,10 @@ def test_quad_pair_shared_uv_factor_leaves_sums_unset():
     assert rep.all_ok
     with pytest.raises(NotCoprimeError):
         sum_of_squares_inverses(2, 1, 1, 3)
+    # u and v past the interpreter's 4300-digit int/str limit, gcd(u, v) = 2
+    wide = 10**2200
+    with pytest.raises(NotCoprimeError):
+        sum_of_squares_inverses(3 * wide + 1, 2 * wide + 1, wide + 7, wide + 3)
 
 
 def test_quad_pair_rejects():
@@ -230,9 +244,7 @@ def test_positive_case_rejects():
 def test_positive_case_checks_raise_on_wrong_inverses(monkeypatch):
     # inverses shifted by their modulus are still inverses, but they move
     # x1 and y1 off the exact positive-case values
-    monkeypatch.setattr(
-        identities, "mod_inverse", lambda a, m: InverseOutcome(result=pow(a, -1, m) + m)
-    )
+    monkeypatch.setattr(identities, "inverse", lambda a, m: pow(a, -1, m) + m)
     with pytest.raises(InvariantError, match="not the inverse"):
         positive_case_exact(3, 2, 1, 2)
     with pytest.raises(InvariantError, match="positivity bound"):

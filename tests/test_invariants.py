@@ -1,0 +1,53 @@
+import ast
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, so no invariant may rest on one
+    modules = sorted((SRC / "modrecip").glob("*.py"))
+    assert modules
+    found = [f"{path.name}:{node.lineno}"
+             for path in modules
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_identity_post_checks_survive_optimize_flag():
+    # planted faults must still be caught when the interpreter strips asserts:
+    # a wrong inverse breaks the square forms' agreement and the linear
+    # Gaussian inverse, a wrong rounding breaks the remainder norm bound
+    script = textwrap.dedent("""
+        from modrecip import gaussian, identities
+        from modrecip.core import InvariantError
+        from modrecip.gaussian import GaussianInteger as G
+
+        def caught(call, cases):
+            count = 0
+            for case in cases:
+                try:
+                    call(*case)
+                except InvariantError:
+                    count += 1
+            return count
+
+        identities.inverse = lambda a, m: pow(a, -1, m) + 1
+        gaussian.inverse = lambda a, m: pow(a, -1, m) + 1
+        gaussian._round_half_down = lambda num, den: 0
+        print(__debug__,
+              caught(identities.square_inverse, ((7, 3), (5, 2))),
+              caught(gaussian.inverse_mod_gaussian_linear, ((3, 2), (7, 1))),
+              caught(gaussian.gaussian_divmod, ((G(5, 5), G(1, 1)), (G(7, -2), G(2, 1)))))
+    """)
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "2", "2", "2"]

@@ -137,6 +137,8 @@ def test_solve_diophantine_examples():
 def test_solve_diophantine_rejects_bad_pairs():
     with pytest.raises(ZeroOperandError):
         solve_diophantine(0, 5)
+    with pytest.raises(ZeroOperandError):
+        solve_diophantine(5, 0)
     with pytest.raises(NotCoprimeError):
         solve_diophantine(4, 6)
 
