@@ -15,7 +15,8 @@ from json import dumps
 from typing import Callable, NamedTuple
 
 from . import bench as bench_mod
-from .core import DomainError, NotCoprimeError, ZeroOperandError, classical_inverse, inverse
+from .core import (DomainError, NotCoprimeError, ZeroOperandError, classical_inverse, inverse,
+                   inverse_pair)
 from .gaussian import (GaussianInteger, format_gaussian, gaussian_inverse,
                        inverse_mod_gaussian_linear, parse_gaussian)
 from .identities import (QuadPairReport, quad_pair_inverses, reduce_inverse_minus,
@@ -132,7 +133,7 @@ def _quad(a, b, c, d):
 def _sum_inverses(rep: QuadPairReport) -> dict[str, int]:
     # s*y1 = t*x1 = v (mod u) and s*y4 = t*x4 = u (mod v), the products that
     # sum_inverse_ok certifies, so two inverses give all four
-    iv, iu = inverse(rep.v, rep.u), inverse(rep.u, rep.v)
+    iv, iu = inverse_pair(rep.v, rep.u)
     return {"s_inv_mod_u": rep.y[0] * iv % rep.u, "t_inv_mod_u": rep.x[0] * iv % rep.u,
             "s_inv_mod_v": rep.y[3] * iu % rep.v, "t_inv_mod_v": rep.x[3] * iu % rep.v}
 

@@ -9,8 +9,10 @@ identity in :mod:`modrecip.recip` hold without exceptions.
 :func:`inverse` is the one inversion primitive: it returns the int and
 raises ZeroOperandError or NotCoprimeError.  For |m| > 1 it is the built-in
 ``pow(a, -1, m)`` (extended Euclid in C), whose result already follows the
-sign of m.  :func:`mod_inverse` is the public-edge form that returns those
-two failures as an :class:`InverseOutcome` instead.  The pure-Python
+sign of m.  :func:`inverse_pair` gets both inverses of a coprime pair from
+one inversion and the reciprocity identity.  :func:`mod_inverse` is the
+public-edge form that returns those two failures as an
+:class:`InverseOutcome` instead.  The pure-Python
 :func:`extended_gcd` stays as the independent Bezout-certificate oracle the
 verification sweeps check it against.
 """
@@ -140,6 +142,25 @@ def inverse(a: int, m: int) -> int:
     if abs(m) == 1:
         return unit_inverse(a, m)
     return pow(a, -1, m)
+
+
+def inverse_pair(a: int, b: int) -> tuple[int, int]:
+    """Both inverses of a pair, (inv(a mod b), inv(b mod a)), for one inversion.
+
+    The reciprocity identity a*inv(a mod b) + b*inv(b mod a) = 1 + a*b
+    gives the partner by one exact division once inv(a mod b) is known.
+    Raises what :func:`inverse` raises, which is symmetric in a and b.  A
+    nonzero remainder, or a partner outside its window [0, a] / [a, 0],
+    raises InvariantError; for |a| > 1 the two checks together certify
+    both values.
+    """
+    x = inverse(a, b)
+    y, rem = divmod(1 + a * b - a * x, b)
+    if rem:
+        raise InvariantError("a*inv(a mod b) - 1 is not a multiple of b")
+    if not (0 <= y <= a or a <= y <= 0):
+        raise InvariantError("the partner inverse left its window")
+    return x, y
 
 
 def mod_inverse(a: int, m: int) -> InverseOutcome:

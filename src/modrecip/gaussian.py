@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import DomainError, InvariantError, ZeroOperandError, inverse
+from .core import DomainError, InvariantError, ZeroOperandError, inverse, inverse_pair
 
 
 @dataclass(frozen=True)
@@ -136,8 +136,9 @@ def gaussian_bezout_identity(a: int, b: int, c: int, d: int) -> bool:
     z = GaussianInteger(a, b)
     w = GaussianInteger(c, d)
     s, t = _check_inverse_hypotheses(z, w)
-    u = z.conjugate() * inverse(s, t)
-    v = w.conjugate() * inverse(t, s)
+    inv_st, inv_ts = inverse_pair(s, t)
+    u = z.conjugate() * inv_st
+    v = w.conjugate() * inv_ts
     lhs = z * u + w * v
     rhs = 1 + z * w * z.conjugate() * w.conjugate()
     return lhs == rhs
@@ -151,7 +152,8 @@ def inverse_mod_gaussian_linear(a: int, b: int) -> GaussianInteger:
     """
     if abs(a) <= 1:
         raise DomainError("inverse_mod_gaussian_linear needs |a| > 1")
-    value = GaussianInteger(inverse(a, b), a - inverse(b, a))
+    inv_ab, inv_ba = inverse_pair(a, b)
+    value = GaussianInteger(inv_ab, a - inv_ba)
     if not divides(GaussianInteger(b, a), value * a - 1):
         raise InvariantError("a times the value is not 1 modulo a*i + b")
     return value

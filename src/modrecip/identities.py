@@ -3,8 +3,9 @@
 Every operation here computes its result from previously known inverses
 (never by running a fresh gcd on the target modulus) and is designed to
 be swept against :func:`modrecip.core.mod_inverse` exhaustively.  Each
-starts from inverses taken with :func:`modrecip.core.inverse` and lets its
-ZeroOperandError and NotCoprimeError through unchanged.
+starts from inverses taken with :func:`modrecip.core.inverse` (or, for
+both inverses of a pair, :func:`modrecip.core.inverse_pair`) and lets
+their ZeroOperandError and NotCoprimeError through unchanged.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .core import (
     NotCoprimeError,
     ZeroOperandError,
     inverse,
+    inverse_pair,
     sign,
 )
 
@@ -51,8 +53,7 @@ def _reduce_inverse(a: int, b: int, k: int, plus: bool) -> int:
         raise DomainError("|a| = 1 is excluded from the reduction identities")
     if (k * a + b if plus else k * a - b) == 0:
         raise ZeroOperandError("target modulus is zero")
-    inv_b_mod_a = inverse(b, a)
-    inv_a_mod_b = inverse(a, b)
+    inv_a_mod_b, inv_b_mod_a = inverse_pair(a, b)
     if plus:
         return k * (a - inv_b_mod_a) + inv_a_mod_b
     return k * inv_b_mod_a - (b - inv_a_mod_b)
@@ -68,7 +69,7 @@ def square_inverse(a: int, b: int) -> int:
         raise DomainError("square_inverse needs |a| > 1")
     i = inverse(b, a)
     mm = a * a
-    form1 = ((b * i - 2) * i) ** 2 % mm
+    form1 = ((b * i - 2) * i % mm) ** 2 % mm
     form2 = (3 - 2 * b * i) * i * i % mm
     if form1 != form2:
         raise InvariantError("the two square-inverse forms disagree")
@@ -109,6 +110,32 @@ class QuadPairReport:
         return all(flags)
 
 
+def _cross_terms(
+    a: int, b: int, c: int, d: int
+) -> tuple[tuple[int, int, int, int], tuple[int, int, int, int], tuple[int, int, int]]:
+    """The x, y and z values of the quad report, from the two pairs' inverses."""
+    inv_ab, inv_ba = inverse_pair(a, b)  # inv(a mod b), inv(b mod a)
+    inv_cd, inv_dc = inverse_pair(c, d)
+    x = (
+        a * inv_dc + b * (d - inv_cd),
+        a * (c - inv_dc) + b * inv_cd,
+        a * (d - inv_cd) - b * inv_dc,
+        a * inv_cd - b * (c - inv_dc),
+    )
+    y = (
+        c * (a - inv_ba) + d * inv_ab,
+        c * inv_ba + d * (b - inv_ab),
+        c * (b - inv_ab) - d * inv_ba,
+        c * inv_ab - d * (a - inv_ba),
+    )
+    z = (
+        a * (a - inv_ba) + b * inv_ab,
+        c * inv_dc + d * (d - inv_cd),
+        c * (c - inv_dc) + d * inv_cd,
+    )
+    return x, y, z
+
+
 def quad_pair_inverses(a: int, b: int, c: int, d: int) -> QuadPairReport:
     """Build and verify the full cross-pair report for one quadruple.
 
@@ -124,22 +151,10 @@ def quad_pair_inverses(a: int, b: int, c: int, d: int) -> QuadPairReport:
     s = a * a + b * b
     t = c * c + d * d
 
-    inv_ab = inverse(a, b)  # inverse of a modulo b
-    inv_ba = inverse(b, a)
-    inv_cd = inverse(c, d)
-    inv_dc = inverse(d, c)
-
-    x1 = a * inv_dc + b * (d - inv_cd)
-    x2 = a * (c - inv_dc) + b * inv_cd
-    x3 = a * (d - inv_cd) - b * inv_dc
-    x4 = a * inv_cd - b * (c - inv_dc)
-    y1 = c * (a - inv_ba) + d * inv_ab
-    y2 = c * inv_ba + d * (b - inv_ab)
-    y3 = c * (b - inv_ab) - d * inv_ba
-    y4 = c * inv_ab - d * (a - inv_ba)
-    z1 = a * (a - inv_ba) + b * inv_ab
-    z2 = c * inv_dc + d * (d - inv_cd)
-    z3 = c * (c - inv_dc) + d * inv_cd
+    x, y, z = _cross_terms(a, b, c, d)
+    x1, x2, x3, x4 = x
+    y1, y2, y3, y4 = y
+    z1, z2, z3 = z
 
     # x_i and y_i are inverses iff their product is 1 modulo n; for |n| > 1
     # that is the same as inverse(x_i, n) == floor_mod(y_i, n)
@@ -153,8 +168,7 @@ def quad_pair_inverses(a: int, b: int, c: int, d: int) -> QuadPairReport:
     sum_ok = None
     proof_ok = None
     if math.gcd(u, v) == 1:
-        inv_vu = inverse(v, u)
-        inv_uv = inverse(u, v)
+        inv_vu, inv_uv = inverse_pair(v, u)
         # y1*inv(v mod u) inverts s modulo u, and so on
         sum_ok = (
             (s * y1 * inv_vu - 1) % u == 0,
@@ -178,9 +192,9 @@ def quad_pair_inverses(a: int, b: int, c: int, d: int) -> QuadPairReport:
         v=v,
         s=s,
         t=t,
-        x=(x1, x2, x3, x4),
-        y=(y1, y2, y3, y4),
-        z=(z1, z2, z3),
+        x=x,
+        y=y,
+        z=z,
         pair_inverse_ok=pair_ok,
         sum_inverse_ok=sum_ok,
         proof_identity_ok=proof_ok,
@@ -209,12 +223,8 @@ def positive_case_exact(a: int, b: int, c: int, d: int) -> int:
     if a * d == b * c:
         raise DomainError("a*d = b*c makes v zero")
     u = a * c + b * d
-    inv_ab = inverse(a, b)
-    inv_ba = inverse(b, a)
-    inv_cd = inverse(c, d)
-    inv_dc = inverse(d, c)
-    x1 = a * inv_dc + b * (d - inv_cd)
-    y1 = c * (a - inv_ba) + d * inv_ab
+    x, y, _ = _cross_terms(a, b, c, d)
+    x1, y1 = x[0], y[0]
     if not 0 < y1 < u:
         raise InvariantError("positivity bound 0 < y1 < u failed")
     if (x1 * y1 - 1) % u:

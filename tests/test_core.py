@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modrecip.core import (
@@ -16,6 +16,7 @@ from modrecip.core import (
     floor_div,
     floor_mod,
     inverse,
+    inverse_pair,
     mod_inverse,
     sign,
     unit_inverse,
@@ -119,6 +120,36 @@ def test_inverse_matches_outcome_form():
                 outcome.expect()
             with pytest.raises(raised.type):
                 inverse(a, m)
+
+
+def _pair_or_error(a, b, pair):
+    try:
+        return pair(a, b)
+    except ValueError as exc:
+        return type(exc)
+
+
+def _two_inversions(a, b):
+    return inverse(a, b), inverse(b, a)
+
+
+def test_inverse_pair_matches_two_inversions():
+    # values and exception types alike, zero, unit and shared-factor
+    # operands included
+    for a in range(-80, 81):
+        for b in range(-80, 81):
+            want = _pair_or_error(a, b, _two_inversions)
+            assert _pair_or_error(a, b, inverse_pair) == want, (a, b)
+
+
+wide = st.integers(64, 8192).flatmap(lambda bits: st.integers(1 << (bits - 1), (1 << bits) - 1))
+signed_wide = st.tuples(wide, st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(signed_wide, signed_wide)
+def test_inverse_pair_matches_two_inversions_wide(a, b):
+    assert _pair_or_error(a, b, inverse_pair) == _pair_or_error(a, b, _two_inversions)
 
 
 def test_outcome_requires_exactly_one_side():

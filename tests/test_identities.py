@@ -1,9 +1,10 @@
 import itertools
 import math
+import sys
 
 import pytest
 
-from modrecip import identities
+from modrecip import core, identities
 from modrecip.core import (
     DomainError,
     InvariantError,
@@ -13,6 +14,7 @@ from modrecip.core import (
     floor_mod,
     mod_inverse,
 )
+from modrecip.gaussian import gaussian_bezout_identity, inverse_mod_gaussian_linear
 from modrecip.identities import (
     positive_case_exact,
     quad_pair_inverses,
@@ -22,6 +24,7 @@ from modrecip.identities import (
     square_inverse,
     sum_of_squares_inverses,
 )
+from modrecip.recip import reciprocity_check
 
 
 def coprime_pairs(bound):
@@ -244,11 +247,49 @@ def test_positive_case_rejects():
 def test_positive_case_checks_raise_on_wrong_inverses(monkeypatch):
     # inverses shifted by their modulus are still inverses, but they move
     # x1 and y1 off the exact positive-case values
-    monkeypatch.setattr(identities, "inverse", lambda a, m: pow(a, -1, m) + m)
+    monkeypatch.setattr(identities, "inverse_pair",
+                        lambda a, b: (pow(a, -1, b) + b, pow(b, -1, a) + a))
     with pytest.raises(InvariantError, match="not the inverse"):
         positive_case_exact(3, 2, 1, 2)
     with pytest.raises(InvariantError, match="positivity bound"):
         positive_case_exact(5, 3, 2, 7)
+
+
+def _count_inversions(monkeypatch) -> list:
+    """Route core.inverse and every module-level alias of it through a counter."""
+    calls = []
+    real = core.inverse
+
+    def counted(a, m):
+        calls.append((a, m))
+        return real(a, m)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("modrecip"):
+            for name, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_paired_callers_invert_once_per_pair(monkeypatch):
+    calls = _count_inversions(monkeypatch)
+
+    def count(call, *args):
+        calls.clear()
+        call(*args)
+        return len(calls)
+
+    rep = quad_pair_inverses(3, 2, 1, 2)
+    assert math.gcd(rep.u, rep.v) == 1 and rep.sum_inverse_ok is not None
+    assert count(quad_pair_inverses, 3, 2, 1, 2) == 3
+    assert count(positive_case_exact, 3, 2, 1, 2) == 2
+    assert count(reduce_inverse_plus, 7, 3, 2) == 1
+    assert count(reduce_inverse_minus, 7, 3, 2) == 1
+    assert count(gaussian_bezout_identity, 2, 3, 4, 1) == 1
+    assert count(inverse_mod_gaussian_linear, 7, 3) == 1
+    # the reciprocity sweep's subject keeps two independent inversions
+    assert count(reciprocity_check, 7, 3) == 2
 
 
 def test_positive_case_sweep_small():

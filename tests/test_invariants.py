@@ -38,16 +38,51 @@ def test_identity_post_checks_survive_optimize_flag():
             return count
 
         identities.inverse = lambda a, m: pow(a, -1, m) + 1
-        gaussian.inverse = lambda a, m: pow(a, -1, m) + 1
+        gaussian.inverse_pair = lambda a, b: (pow(a, -1, b) + 1, pow(b, -1, a) + 1)
         gaussian._round_half_down = lambda num, den: 0
         print(__debug__,
               caught(identities.square_inverse, ((7, 3), (5, 2))),
               caught(gaussian.inverse_mod_gaussian_linear, ((3, 2), (7, 1))),
               caught(gaussian.gaussian_divmod, ((G(5, 5), G(1, 1)), (G(7, -2), G(2, 1)))))
     """)
+    assert _run_optimized(script) == ["False", "2", "2", "2"]
+
+
+def test_inverse_pair_checks_survive_optimize_flag():
+    # a wrong inverse of a mod b must make the pair raise, not hand back a
+    # wrong partner: off by one it breaks the exact division, shifted by the
+    # modulus it pushes the partner out of its window
+    script = textwrap.dedent("""
+        from modrecip import core
+        from modrecip.core import InvariantError
+
+        real = core.inverse
+
+        def messages(plant, cases):
+            core.inverse = plant
+            found = []
+            for a, b in cases:
+                try:
+                    core.inverse_pair(a, b)
+                except InvariantError as exc:
+                    found.append(str(exc).split()[-1])
+            core.inverse = real
+            return ",".join(found)
+
+        cases = ((7, 3), (-5, 12), (2**200 + 1, 3**120), (-11, -4))
+        print(__debug__,
+              messages(lambda a, m: real(a, m) + 1, cases),
+              messages(lambda a, m: real(a, m) + m, cases))
+    """)
+    assert _run_optimized(script) == [
+        "False", "b,b,b,b", "window,window,window,window"]
+
+
+def _run_optimized(script: str) -> list[str]:
+    """Run script in a python -O child and return its stdout words."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "2", "2", "2"]
+    return proc.stdout.split()
