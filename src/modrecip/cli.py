@@ -15,12 +15,11 @@ from json import dumps
 from typing import Callable, NamedTuple
 
 from . import bench as bench_mod
-from .core import (DomainError, NotCoprimeError, ZeroOperandError, classical_inverse, inverse,
-                   inverse_pair)
+from .core import DomainError, NotCoprimeError, ZeroOperandError, classical_inverse, inverse
 from .gaussian import (GaussianInteger, format_gaussian, gaussian_inverse,
                        inverse_mod_gaussian_linear, parse_gaussian)
 from .identities import (QuadPairReport, quad_pair_inverses, reduce_inverse_minus,
-                         reduce_inverse_plus, square_inverse, sum_of_squares_inverses)
+                         reduce_inverse_plus, square_inverse, sum_inverse_values)
 from .recip import reciprocity_check
 from .verify import MAX_SHARDS, SweepConfig, load_sweep_config, run_all
 
@@ -130,17 +129,8 @@ def _quad(a, b, c, d):
     return asdict(rep), _quad_text(rep)
 
 
-def _sum_inverses(rep: QuadPairReport) -> dict[str, int]:
-    # s*y1 = t*x1 = v (mod u) and s*y4 = t*x4 = u (mod v), the products that
-    # sum_inverse_ok certifies, so two inverses give all four
-    iv, iu = inverse_pair(rep.v, rep.u)
-    return {"s_inv_mod_u": rep.y[0] * iv % rep.u, "t_inv_mod_u": rep.x[0] * iv % rep.u,
-            "s_inv_mod_v": rep.y[3] * iu % rep.v, "t_inv_mod_v": rep.x[3] * iu % rep.v}
-
-
 def _sums(a, b, c, d):
-    rep = sum_of_squares_inverses(a, b, c, d)
-    values = _sum_inverses(rep)
+    rep, values = sum_inverse_values(a, b, c, d)
     text = _quad_text(rep) + "\n" + " ".join(f"{k}={v}" for k, v in values.items())
     return asdict(rep) | values, text
 

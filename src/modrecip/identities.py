@@ -2,7 +2,7 @@
 
 Every operation here computes its result from previously known inverses
 (never by running a fresh gcd on the target modulus) and is designed to
-be swept against :func:`modrecip.core.mod_inverse` exhaustively.  Each
+be swept against :func:`modrecip.core.inverse` exhaustively.  Each
 starts from inverses taken with :func:`modrecip.core.inverse` (or, for
 both inverses of a pair, :func:`modrecip.core.inverse_pair`) and lets
 their ZeroOperandError and NotCoprimeError through unchanged.
@@ -142,6 +142,13 @@ def quad_pair_inverses(a: int, b: int, c: int, d: int) -> QuadPairReport:
     Needs gcd(a,b) = gcd(c,d) = 1 and |u| > 1, |v| > 1.  The sum and
     proof-identity flags stay None unless gcd(u, v) = 1.
     """
+    return _quad_report(a, b, c, d)[0]
+
+
+def _quad_report(
+    a: int, b: int, c: int, d: int
+) -> tuple[QuadPairReport, tuple[int, int] | None]:
+    """The quad report, plus (inv(v mod u), inv(u mod v)) when gcd(u, v) = 1."""
     if math.gcd(a, b) != 1 or math.gcd(c, d) != 1:
         raise NotCoprimeError("both (a,b) and (c,d) must be coprime pairs")
     u = a * c + b * d
@@ -167,8 +174,9 @@ def quad_pair_inverses(a: int, b: int, c: int, d: int) -> QuadPairReport:
 
     sum_ok = None
     proof_ok = None
+    uv_pair = None
     if math.gcd(u, v) == 1:
-        inv_vu, inv_uv = inverse_pair(v, u)
+        uv_pair = inv_vu, inv_uv = inverse_pair(v, u)
         # y1*inv(v mod u) inverts s modulo u, and so on
         sum_ok = (
             (s * y1 * inv_vu - 1) % u == 0,
@@ -183,7 +191,7 @@ def quad_pair_inverses(a: int, b: int, c: int, d: int) -> QuadPairReport:
             t * x4 == u + v * z3,
         )
 
-    return QuadPairReport(
+    report = QuadPairReport(
         a=a,
         b=b,
         c=c,
@@ -199,6 +207,7 @@ def quad_pair_inverses(a: int, b: int, c: int, d: int) -> QuadPairReport:
         sum_inverse_ok=sum_ok,
         proof_identity_ok=proof_ok,
     )
+    return report, uv_pair
 
 
 def sum_of_squares_inverses(a: int, b: int, c: int, d: int) -> QuadPairReport:
@@ -207,6 +216,22 @@ def sum_of_squares_inverses(a: int, b: int, c: int, d: int) -> QuadPairReport:
     if report.sum_inverse_ok is None:
         raise NotCoprimeError("gcd(u, v) != 1")
     return report
+
+
+def sum_inverse_values(a: int, b: int, c: int, d: int) -> tuple[QuadPairReport, dict[str, int]]:
+    """The sum-of-squares report and the four inverses its sum flags certify.
+
+    s*y1 = t*x1 = v (mod u) and s*y4 = t*x4 = u (mod v), so the inverses of
+    s and t modulo u and v are y1, x1, y4 and x4 times the pair
+    inv(v mod u), inv(u mod v) that the report has already taken.
+    """
+    report, uv_pair = _quad_report(a, b, c, d)
+    if uv_pair is None:
+        raise NotCoprimeError("gcd(u, v) != 1")
+    inv_vu, inv_uv = uv_pair
+    u, v, x, y = report.u, report.v, report.x, report.y
+    return report, {"s_inv_mod_u": y[0] * inv_vu % u, "t_inv_mod_u": x[0] * inv_vu % u,
+                    "s_inv_mod_v": y[3] * inv_uv % v, "t_inv_mod_v": x[3] * inv_uv % v}
 
 
 def positive_case_exact(a: int, b: int, c: int, d: int) -> int:

@@ -7,6 +7,8 @@ fails, or ``BREAK`` for a designed break in a classical-units suite.  One
 engine, ``_sweep``, counts the outcomes, keeps the first few labels (so the
 first recorded failure is the minimal counterexample for that ordering),
 times the suite and shards its outer operands across worker processes.
+One table, ``SUITES``, lists every suite in run order; ``CLASSICAL_UNITS``
+holds the counterfactual entries that classical-units mode runs instead.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import math
 import time
 from dataclasses import dataclass, field, fields
 from itertools import repeat
+from typing import Callable, Iterable, NamedTuple
 
 from .core import (
     DomainError,
@@ -50,6 +53,8 @@ BRUTE_FORCE_CAP = 1 << 20
 MAX_SHARDS = 32
 
 _SAMPLE_LIMIT = 5
+# |a| bound of the unit-modulus table
+_UNIT_MODULUS_LIMIT = 100
 
 # outcome of a classical-units case that breaks exactly as predicted
 BREAK = object()
@@ -146,13 +151,22 @@ def _tally(cases, config: SweepConfig, chunk: list) -> tuple[int, int, list[str]
     return count, fails, samples, breaks
 
 
-def _sweep(name: str, cases, config: SweepConfig, outer, note: str = "") -> SweepResult:
-    """Run one suite over its outer operands; ``note`` may use ``{breaks}``."""
+class Suite(NamedTuple):
+    """One verification suite: its generator runs over ``outer(config)``."""
+
+    name: str
+    cases: Callable  # module-level, so that workers unpickle it by reference
+    outer: Callable[[SweepConfig], Iterable]
+    note: str = ""  # may use {breaks}, the count of designed breaks
+
+
+def _sweep(suite: Suite, config: SweepConfig) -> SweepResult:
+    """Run one suite over its outer operands, sharded when the config asks."""
     start = time.perf_counter()
-    outer = list(outer)
+    outer = list(suite.outer(config))
     shards = config.shard_count
     if shards <= 1 or len(outer) < 2 * shards:
-        parts = [_tally(cases, config, outer)]
+        parts = [_tally(suite.cases, config, outer)]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -161,14 +175,15 @@ def _sweep(name: str, cases, config: SweepConfig, outer, note: str = "") -> Swee
         size = -(-len(outer) // (4 * shards))
         chunks = [outer[i : i + size] for i in range(0, len(outer), size)]
         with ProcessPoolExecutor(max_workers=shards) as ex:
-            parts = list(ex.map(_tally, repeat(cases), repeat(config), chunks))
+            parts = list(ex.map(_tally, repeat(suite.cases), repeat(config), chunks))
     count, fails, breaks = (sum(part[i] for part in parts) for i in (0, 1, 3))
     samples = [label for part in parts for label in part[2]][:_SAMPLE_LIMIT]
     elapsed = time.perf_counter() - start
-    return SweepResult(name, count, fails, samples, note.format(breaks=breaks), elapsed)
+    return SweepResult(suite.name, count, fails, samples, suite.note.format(breaks=breaks), elapsed)
 
 
 def _division_law_cases(config, chunk):
+    """a = m*floor_div + floor_mod with the sign-of-m remainder window."""
     moduli = signed_range(config.bound)
     for a in chunk:
         for m in moduli:
@@ -177,13 +192,8 @@ def _division_law_cases(config, chunk):
             yield None if ok else f"a={a} m={m} q={q} r={r}"
 
 
-def run_division_law_sweep(config: SweepConfig) -> SweepResult:
-    """a = m*floor_div + floor_mod with the sign-of-m remainder window."""
-    outer = range(-config.bound, config.bound + 1)
-    return _sweep("division-law", _division_law_cases, config, outer)
-
-
 def _unit_modulus_cases(config, chunk):
+    """The four closed-form branch values for moduli +1 and -1."""
     for a in chunk:
         for m in (1, -1):
             expected = (1 if a > 0 else 0) if m == 1 else (0 if a > 0 else -1)
@@ -191,12 +201,13 @@ def _unit_modulus_cases(config, chunk):
             yield None if got == expected else f"a={a} m={m} got={got} expected={expected}"
 
 
-def run_unit_modulus_sweep(config: SweepConfig, limit: int = 100) -> SweepResult:
-    """The four closed-form branch values for moduli +1 and -1."""
-    return _sweep("unit-modulus-table", _unit_modulus_cases, config, signed_range(limit))
-
-
 def _divergence_cases(config, chunk):
+    """Where the signed and classical inverses disagree, and how.
+
+    For |m| > 1 they name the same residue class (identical for m > 1,
+    offset by m for m < -1); for |m| = 1 the raw values differ exactly
+    when (m=1, a>0) or (m=-1, a<0), with the signed value 1 or -1.
+    """
     for m, a in _coprime(chunk, signed_range(config.bound)):
         new = inverse(a, m)
         cls = classical_inverse(a, m).expect()
@@ -210,17 +221,8 @@ def _divergence_cases(config, chunk):
         yield None if ok else f"a={a} m={m} new={new} classical={cls}"
 
 
-def run_divergence_sweep(config: SweepConfig) -> SweepResult:
-    """Where the signed and classical inverses disagree, and how.
-
-    For |m| > 1 they name the same residue class (identical for m > 1,
-    offset by m for m < -1); for |m| = 1 the raw values differ exactly
-    when (m=1, a>0) or (m=-1, a<0), with the signed value 1 or -1.
-    """
-    return _sweep("classical-divergence", _divergence_cases, config, signed_range(config.bound))
-
-
 def _oracle_cases(config, chunk):
+    """Windowed inverse == brute force == reciprocity route, plus Bezout."""
     for m, a in _coprime(chunk, signed_range(config.bound)):
         lo, hi = (1, m - 1) if m > 0 else (m + 1, -1)
         v = inverse(a, m)
@@ -232,12 +234,8 @@ def _oracle_cases(config, chunk):
         yield None if ok else f"a={a} m={m} inverse={v}"
 
 
-def run_oracle_sweep(config: SweepConfig) -> SweepResult:
-    """Windowed inverse == brute force == reciprocity route, plus Bezout."""
-    return _sweep("inverse-oracles", _oracle_cases, config, signed_range(config.bound, start=2))
-
-
 def _reciprocity_cases(config, chunk):
+    """a*inv_a + b*inv_b = 1 + a*b over every coprime signed pair."""
     for a, b in _coprime(chunk, signed_range(config.bound)):
         rep = reciprocity_check(a, b)
         ok = rep.holds and rep.k == 1
@@ -245,6 +243,12 @@ def _reciprocity_cases(config, chunk):
 
 
 def _reciprocity_classical_cases(config, chunk):
+    """The reciprocity identity with the classical 0 for unit moduli.
+
+    The unit-modulus inverses are replaced by the conventional 0, and each
+    case checks that the identity breaks exactly on the predicted set of
+    unit-operand pairs and nowhere else.
+    """
     for a, b in _coprime(chunk, signed_range(config.bound)):
         inv_a = 0 if abs(b) == 1 else inverse(a, b)
         inv_b = 0 if abs(a) == 1 else inverse(b, a)
@@ -259,21 +263,8 @@ def _reciprocity_classical_cases(config, chunk):
             yield f"a={a} b={b} breaks={breaks} predicted={predicted}"
 
 
-def run_reciprocity_sweep(config: SweepConfig, classical_units: bool = False) -> SweepResult:
-    """a*inv_a + b*inv_b = 1 + a*b over every coprime signed pair.
-
-    In classical-units mode the unit-modulus inverses are replaced by the
-    conventional 0 and the sweep instead checks that the identity breaks
-    exactly on the predicted set of unit-operand pairs and nowhere else.
-    """
-    operands = signed_range(config.bound)
-    if not classical_units:
-        return _sweep("reciprocity", _reciprocity_cases, config, operands)
-    return _sweep("reciprocity-classical-units", _reciprocity_classical_cases, config, operands,
-                  "{breaks} designed breaks, all on unit operands")
-
-
 def _shift_cases(config, chunk):
+    """inv(k*a + b mod a) from inv(b mod a), against the direct inverse."""
     ks = range(-config.k_bound, config.k_bound + 1)
     for a, b in _coprime(chunk, signed_range(config.shift_bound)):
         for k in ks:
@@ -284,12 +275,8 @@ def _shift_cases(config, chunk):
             yield None if got == want else f"a={a} b={b} k={k} got={got} want={want}"
 
 
-def run_shift_invariance_sweep(config: SweepConfig) -> SweepResult:
-    """inv(k*a + b mod a) from inv(b mod a), against the direct inverse."""
-    return _sweep("shift-invariance", _shift_cases, config, signed_range(config.shift_bound))
-
-
 def _reduction_cases(config, chunk):
+    """Both reduction formulas against the direct inverse of the target."""
     ks = range(-config.k_bound, config.k_bound + 1)
     for a, b in _coprime(chunk, signed_range(config.reduce_bound)):
         for k in ks:
@@ -304,6 +291,13 @@ def _reduction_cases(config, chunk):
 
 
 def _reduction_classical_cases(config, chunk):
+    """The reduction formulas with the classical 0 for unit moduli.
+
+    The right-hand side takes 0 for the unit-modulus inverse, and each case
+    checks the formula breaks exactly when that value actually differs from
+    the signed closed form (targets with |m| = 1 are skipped, since the
+    comparison baseline itself is the disputed branch).
+    """
     ks = range(-config.k_bound, config.k_bound + 1)
     for a, b in _coprime(chunk, signed_range(config.reduce_bound)):
         inv_ba = inverse(b, a)
@@ -323,33 +317,12 @@ def _reduction_classical_cases(config, chunk):
                     yield f"a={a} b={b} k={k} form={form} breaks={breaks} predicted={predicted}"
 
 
-def run_reduction_sweep(config: SweepConfig, classical_units: bool = False) -> SweepResult:
-    """Both reduction formulas against the direct inverse of the target.
-
-    Classical-units mode substitutes 0 for the unit-modulus inverse on the
-    right-hand side and checks the formula breaks exactly when that value
-    actually differs from the signed closed form (targets with |m| = 1 are
-    skipped there, since the comparison baseline itself is the disputed
-    branch).
-    """
-    outer = signed_range(config.reduce_bound, start=2)
-    if not classical_units:
-        return _sweep("reduction", _reduction_cases, config, outer)
-    return _sweep("reduction-classical-units", _reduction_classical_cases, config, outer,
-                  "{breaks} designed breaks, all with |b| = 1")
-
-
 def _square_cases(config, chunk):
+    """Both squared-modulus forms against the direct inverse of b*b mod a*a."""
     for a, b in _coprime(chunk, signed_range(config.square_bound)):
         got = square_inverse(a, b)
         want = inverse(b * b, a * a)
         yield None if got == want else f"a={a} b={b} got={got} want={want}"
-
-
-def run_square_sweep(config: SweepConfig) -> SweepResult:
-    """Both squared-modulus forms against the direct inverse of b*b mod a*a."""
-    outer = signed_range(config.square_bound, start=2)
-    return _sweep("square-inverse", _square_cases, config, outer)
 
 
 def _quad_pairs(config) -> list[tuple[int, int]]:
@@ -358,6 +331,7 @@ def _quad_pairs(config) -> list[tuple[int, int]]:
 
 
 def _quad_cases(config, chunk):
+    """Every cross-pair report flag, plus the exact positive-case value."""
     pairs = _quad_pairs(config)
     for a, b in chunk:
         for c, d in pairs:
@@ -372,12 +346,8 @@ def _quad_cases(config, chunk):
             yield None if ok else f"a={a} b={b} c={c} d={d}"
 
 
-def run_quad_sweep(config: SweepConfig) -> SweepResult:
-    """Every cross-pair report flag, plus the exact positive-case value."""
-    return _sweep("quad-pair", _quad_cases, config, _quad_pairs(config))
-
-
 def _gaussian_cases(config, chunk):
+    """Gaussian inversion, the exact four-factor identity, and division law."""
     values = signed_range(config.gaussian_bound)
     for a in chunk:
         for b in values:
@@ -401,25 +371,20 @@ def _gaussian_cases(config, chunk):
                     yield None if ok else f"z={z} w={w}"
 
 
-def run_gaussian_sweep(config: SweepConfig) -> SweepResult:
-    """Gaussian inversion, the exact four-factor identity, and division law."""
-    return _sweep("gaussian-inverse", _gaussian_cases, config, signed_range(config.gaussian_bound))
-
-
 def _gaussian_linear_cases(config, chunk):
+    """a * inv = 1 (mod a*i + b) for the closed-form Gaussian inverse."""
     for a, b in _coprime(chunk, signed_range(config.linear_bound)):
         g = inverse_mod_gaussian_linear(a, b)
         ok = divides(GaussianInteger(b, a), g * a - 1)
         yield None if ok else f"a={a} b={b} inverse={g}"
 
 
-def run_gaussian_linear_sweep(config: SweepConfig) -> SweepResult:
-    """a * inv = 1 (mod a*i + b) for the closed-form Gaussian inverse."""
-    outer = signed_range(config.linear_bound, start=2)
-    return _sweep("gaussian-linear", _gaussian_linear_cases, config, outer)
-
-
 def _fixture_cases(config, chunk):
+    """The reduction replay that separates the two unit-inverse choices.
+
+    inv(7 mod 22) = 19 and the reduction formula reproduces it with the
+    signed unit value; substituting the classical 0 yields 18 instead.
+    """
     direct = inverse(7, 22)
     yield None if direct == 19 else "direct inv(7 mod 22) = 19"
     replay = reduce_inverse_plus(7, 1, 3)
@@ -429,28 +394,84 @@ def _fixture_cases(config, chunk):
     yield None if ok else "classical replay = 18 != 19"
 
 
-def run_unit_contradiction_fixture(config: SweepConfig | None = None) -> SweepResult:
-    """The reduction replay that separates the two unit-inverse choices.
+# Every suite, keyed by name, in the order run_all reports them.
+SUITES = {suite.name: suite for suite in (
+    Suite("division-law", _division_law_cases, lambda c: range(-c.bound, c.bound + 1)),
+    Suite("unit-modulus-table", _unit_modulus_cases, lambda c: signed_range(_UNIT_MODULUS_LIMIT)),
+    Suite("classical-divergence", _divergence_cases, lambda c: signed_range(c.bound)),
+    Suite("inverse-oracles", _oracle_cases, lambda c: signed_range(c.bound, start=2)),
+    Suite("reciprocity", _reciprocity_cases, lambda c: signed_range(c.bound)),
+    Suite("shift-invariance", _shift_cases, lambda c: signed_range(c.shift_bound)),
+    Suite("reduction", _reduction_cases, lambda c: signed_range(c.reduce_bound, start=2)),
+    Suite("square-inverse", _square_cases, lambda c: signed_range(c.square_bound, start=2)),
+    Suite("quad-pair", _quad_cases, _quad_pairs),
+    Suite("gaussian-inverse", _gaussian_cases, lambda c: signed_range(c.gaussian_bound)),
+    Suite("gaussian-linear", _gaussian_linear_cases, lambda c: signed_range(c.linear_bound, start=2)),
+    Suite("unit-contradiction-fixture", _fixture_cases, lambda c: [None]),
+)}
 
-    inv(7 mod 22) = 19 and the reduction formula reproduces it with the
-    signed unit value; substituting the classical 0 yields 18 instead.
-    """
-    return _sweep("unit-contradiction-fixture", _fixture_cases, config or SweepConfig(), [None])
+# Classical-units mode runs these in place of the suites they are keyed by,
+# over the same outer operands.
+CLASSICAL_UNITS = {
+    "reciprocity": SUITES["reciprocity"]._replace(
+        name="reciprocity-classical-units", cases=_reciprocity_classical_cases,
+        note="{breaks} designed breaks, all on unit operands"),
+    "reduction": SUITES["reduction"]._replace(
+        name="reduction-classical-units", cases=_reduction_classical_cases,
+        note="{breaks} designed breaks, all with |b| = 1"),
+}
 
 
 def run_all(config: SweepConfig, classical_units: bool = False) -> list[SweepResult]:
     """Run every sweep; classical-units mode swaps in the counterfactual suites."""
-    return [
-        run_division_law_sweep(config),
-        run_unit_modulus_sweep(config),
-        run_divergence_sweep(config),
-        run_oracle_sweep(config),
-        run_reciprocity_sweep(config, classical_units),
-        run_shift_invariance_sweep(config),
-        run_reduction_sweep(config, classical_units),
-        run_square_sweep(config),
-        run_quad_sweep(config),
-        run_gaussian_sweep(config),
-        run_gaussian_linear_sweep(config),
-        run_unit_contradiction_fixture(config),
-    ]
+    table = SUITES | CLASSICAL_UNITS if classical_units else SUITES
+    return [_sweep(suite, config) for suite in table.values()]
+
+
+# One entry point per suite, for callers that run a single sweep.
+def run_division_law_sweep(config: SweepConfig) -> SweepResult:
+    return _sweep(SUITES["division-law"], config)
+
+
+def run_unit_modulus_sweep(config: SweepConfig) -> SweepResult:
+    return _sweep(SUITES["unit-modulus-table"], config)
+
+
+def run_divergence_sweep(config: SweepConfig) -> SweepResult:
+    return _sweep(SUITES["classical-divergence"], config)
+
+
+def run_oracle_sweep(config: SweepConfig) -> SweepResult:
+    return _sweep(SUITES["inverse-oracles"], config)
+
+
+def run_reciprocity_sweep(config: SweepConfig, classical_units: bool = False) -> SweepResult:
+    return _sweep((CLASSICAL_UNITS if classical_units else SUITES)["reciprocity"], config)
+
+
+def run_shift_invariance_sweep(config: SweepConfig) -> SweepResult:
+    return _sweep(SUITES["shift-invariance"], config)
+
+
+def run_reduction_sweep(config: SweepConfig, classical_units: bool = False) -> SweepResult:
+    return _sweep((CLASSICAL_UNITS if classical_units else SUITES)["reduction"], config)
+
+
+def run_square_sweep(config: SweepConfig) -> SweepResult:
+    return _sweep(SUITES["square-inverse"], config)
+
+
+def run_quad_sweep(config: SweepConfig) -> SweepResult:
+    return _sweep(SUITES["quad-pair"], config)
+
+
+def run_gaussian_sweep(config: SweepConfig) -> SweepResult:
+    return _sweep(SUITES["gaussian-inverse"], config)
+
+
+def run_gaussian_linear_sweep(config: SweepConfig) -> SweepResult:
+    return _sweep(SUITES["gaussian-linear"], config)
+
+
+def run_unit_contradiction_fixture(config: SweepConfig | None = None) -> SweepResult:
+    return _sweep(SUITES["unit-contradiction-fixture"], config or SweepConfig())

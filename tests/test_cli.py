@@ -14,7 +14,7 @@ from modrecip import cli
 from modrecip.bench import BenchReport
 from modrecip.cli import MAX_OPERAND_BITS, main
 from modrecip.core import DomainError, NotCoprimeError, ZeroOperandError, inverse, mod_inverse
-from modrecip.identities import sum_of_squares_inverses
+from modrecip.identities import sum_inverse_values
 from modrecip.verify import SweepResult
 
 
@@ -124,12 +124,12 @@ def test_sum_inverses_equal_direct_inverses():
     checked = 0
     for quad in [*itertools.product(range(-9, 10), repeat=4), wide]:
         try:
-            rep = sum_of_squares_inverses(*quad)
+            rep, values = sum_inverse_values(*quad)
         except (DomainError, NotCoprimeError, ZeroOperandError):
             continue
         want = {f"{p}_inv_mod_{n}": inverse(getattr(rep, p), getattr(rep, n))
                 for n in "uv" for p in "st"}
-        assert cli._sum_inverses(rep) == want, quad
+        assert values == want, quad
         checked += 1
     assert checked == 35136 + 1
 

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from modrecip import core, identities
+from modrecip.cli import COMMANDS
 from modrecip.core import (
     DomainError,
     InvariantError,
@@ -283,6 +284,8 @@ def test_paired_callers_invert_once_per_pair(monkeypatch):
     rep = quad_pair_inverses(3, 2, 1, 2)
     assert math.gcd(rep.u, rep.v) == 1 and rep.sum_inverse_ok is not None
     assert count(quad_pair_inverses, 3, 2, 1, 2) == 3
+    # sums reads its four inverses off the pair the quad report already took
+    assert count(COMMANDS["sums"].compute, 3, 2, 1, 2) == 3
     assert count(positive_case_exact, 3, 2, 1, 2) == 2
     assert count(reduce_inverse_plus, 7, 3, 2) == 1
     assert count(reduce_inverse_minus, 7, 3, 2) == 1

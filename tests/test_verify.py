@@ -85,11 +85,29 @@ def _outcomes(results):
     return [(r.name, r.cases, r.failure_count, r.failures, r.note) for r in results]
 
 
+# suite names and case counts at SMALL, in run order; every note is empty
+SMALL_CASES = [
+    ("division-law", 272), ("unit-modulus-table", 400), ("classical-divergence", 172),
+    ("inverse-oracles", 140), ("reciprocity", 172), ("shift-invariance", 632),
+    ("reduction", 952), ("square-inverse", 68), ("quad-pair", 1312),
+    ("gaussian-inverse", 640), ("gaussian-linear", 68), ("unit-contradiction-fixture", 3),
+]
+# what classical-units mode reports in place of the suite named by the key
+SMALL_CLASSICAL = {
+    "reciprocity": ("reciprocity-classical-units", 172, "30 designed breaks, all on unit operands"),
+    "reduction": ("reduction-classical-units", 808, "116 designed breaks, all with |b| = 1"),
+}
+
+
 def test_sharding_is_result_invariant():
     for classical_units in (False, True):
         serial = run_all(SMALL, classical_units)
         sharded = run_all(replace(SMALL, shard_count=3), classical_units)
         assert _outcomes(serial) == _outcomes(sharded)
+        expected = [(name, cases, "") for name, cases in SMALL_CASES]
+        if classical_units:
+            expected = [SMALL_CLASSICAL.get(entry[0], entry) for entry in expected]
+        assert _outcomes(serial) == [(name, cases, 0, [], note) for name, cases, note in expected]
 
 
 def test_planted_failure_is_shard_invariant(monkeypatch):
