@@ -266,8 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", parents=[common],
-                       help="time reciprocity-route inversion against extended gcd and pow")
-    p.add_argument("--bits", type=_int_arg, required=True, help="operand width in bits")
+                       help="time reciprocity-route inversion against extended gcd and the built-in pow")
+    p.add_argument("--bits", type=_int_arg, required=True,
+                   help=f"operand width in bits ({bench_mod.MIN_BITS} to {bench_mod.MAX_BITS})")
     p.add_argument("--iters", type=_int_arg, default=1000, help="number of trials")
     p.add_argument("--seed", type=_int_arg, metavar="U64", default=None,
                    help="seed for the random operands")
@@ -280,7 +281,12 @@ def main(argv=None) -> int:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        # argparse takes a second "--" as an operand and hands it over as []
+        empty = [name for name, value in vars(args).items() if isinstance(value, list)]
+        if empty:
+            parser.error(f"missing operand(s): {', '.join(empty)}")
         try:
             return args.func(args)
         except (ZeroOperandError, NotCoprimeError, DomainError) as exc:

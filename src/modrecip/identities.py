@@ -174,9 +174,11 @@ def _quad_report(
 
     sum_ok = None
     proof_ok = None
-    uv_pair = None
-    if math.gcd(u, v) == 1:
+    try:  # the pair's own gcd check decides whether gcd(u, v) = 1
         uv_pair = inv_vu, inv_uv = inverse_pair(v, u)
+    except NotCoprimeError:
+        uv_pair = None
+    else:
         # y1*inv(v mod u) inverts s modulo u, and so on
         sum_ok = (
             (s * y1 * inv_vu - 1) % u == 0,

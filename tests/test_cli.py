@@ -175,6 +175,15 @@ def test_usage_errors_exit_1(capsys):
         assert exc.value.code == 1
 
 
+def test_repeated_double_dash_is_a_usage_error(capsys):
+    # argparse hands a second "--" to the next operand as an empty list
+    for argv in (["inv", "3", "--", "--"], ["quad", "0", "1", "0", "--", "--"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "missing operand" in capsys.readouterr().err
+
+
 def test_wide_hex_inv_prints_in_full(capsys):
     rng = random.Random(16000)
     while True:
@@ -303,7 +312,7 @@ def test_bench_reports_seed_in_text(capsys):
 def test_bench_parameter_validation(capsys):
     code, _, err = run(capsys, "bench", "--bits", "32", "--iters", "5")
     assert code == 1 and "--bits" in err
-    code, _, err = run(capsys, "bench", "--bits", "8192", "--iters", "5")
+    code, _, err = run(capsys, "bench", "--bits", "16385", "--iters", "5")
     assert code == 1
     code, _, err = run(capsys, "bench", "--bits", "64", "--iters", "0")
     assert code == 1 and "--iters" in err

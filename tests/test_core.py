@@ -1,9 +1,11 @@
 import math
+import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from modrecip import core, recip
 from modrecip.core import (
     DomainError,
     InverseFailure,
@@ -246,3 +248,85 @@ def test_arbitrary_precision_operands():
     x = mod_inverse(a, m).expect()
     assert (a * x - 1) % m == 0
     assert 1 <= x <= m - 1
+
+
+# Above core._POW_MAX_BITS inverse takes the batched reciprocity route, and the
+# built-in pow becomes the independent oracle for it.
+CROSSOVER = core._POW_MAX_BITS
+
+
+def _signed_of_width(lo, hi):
+    magnitude = st.integers(lo, hi).flatmap(lambda bits: st.integers(1 << (bits - 1), (1 << bits) - 1))
+    return st.tuples(magnitude, st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
+
+
+def _route_value(a, m):
+    return recip.inverse_via_reciprocity(a, m).expect()
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    _signed_of_width(CROSSOVER - 64, 1 << 14),
+    st.one_of(_signed_of_width(CROSSOVER - 64, 1 << 14), _signed_of_width(2, 256)),
+    st.booleans(),
+    st.integers(0, 3),
+    st.integers(2, 1 << 64),
+)
+def test_wide_routes_equal_pow(a, m, swap, share, factor):
+    # the narrow draw makes |a| << |m| or, swapped, |a| >> |m|; the pair is
+    # made coprime, and one draw in four then gets a shared factor, which
+    # both routes must refuse with the same exception type
+    if swap:
+        a, m = m, a
+    g = math.gcd(a, m)
+    a, m = a // g, m // g
+    assume(abs(m) > 1)
+    if share == 0:
+        a, m = a * factor, m * factor
+        with pytest.raises(ValueError):
+            pow(a, -1, m)
+        assert _pair_or_error(a, m, inverse) is NotCoprimeError
+        assert _pair_or_error(a, m, _route_value) is NotCoprimeError
+        return
+    want = pow(a, -1, m)
+    assert inverse(a, m) == want
+    assert recip.inverse_via_reciprocity(a, m).result == want
+
+
+def test_batched_route_at_the_operand_cap():
+    rng = random.Random(65536)
+    a = -(rng.getrandbits(1 << 16) | 1 << 65535)
+    m = rng.getrandbits(1 << 16) | 1 << 65535 | 1
+    while math.gcd(a, m) != 1:
+        m += 2
+    want = pow(a, -1, m)
+    assert inverse(a, m) == want
+    assert recip.inverse_via_reciprocity(a, m).result == want
+
+
+def test_inverse_is_pow_at_or_below_the_crossover(monkeypatch):
+    calls = []
+    route = recip.inverse_via_reciprocity
+
+    def counted(a, m):
+        calls.append((a, m))
+        return route(a, m)
+
+    monkeypatch.setattr(recip, "inverse_via_reciprocity", counted)
+    rng = random.Random(8)
+
+    def coprime_pair(bits_a, bits_m):
+        a = rng.getrandbits(bits_a) | 1 << (bits_a - 1)
+        m = rng.getrandbits(bits_m) | 1 << (bits_m - 1)
+        while math.gcd(a, m) != 1:
+            a ^= 1 << rng.randrange(bits_a - 1)
+        return a, -m
+
+    # the narrower operand decides: at or below the crossover it is pow alone
+    for widths in ((64, 64), (CROSSOVER, CROSSOVER), (CROSSOVER, 1 << 14), (1 << 14, CROSSOVER)):
+        a, m = coprime_pair(*widths)
+        assert inverse(a, m) == pow(a, -1, m)
+    assert calls == []
+    a, m = coprime_pair(CROSSOVER + 1, CROSSOVER + 1)
+    assert inverse(a, m) == pow(a, -1, m)
+    assert calls == [(a, m)]

@@ -78,6 +78,46 @@ def test_inverse_pair_checks_survive_optimize_flag():
         "False", "b,b,b,b", "window,window,window,window"]
 
 
+def test_batch_climb_check_survives_optimize_flag():
+    # a climb that leaves the descent's batches must be caught by the final
+    # check, through inverse as through the route, when asserts are stripped
+    script = textwrap.dedent("""
+        import math
+        import random
+        from modrecip import core, recip
+        from modrecip.core import InvariantError
+
+        descend = recip._batched_descent
+
+        def corrupted(x, y):
+            x, y, steps = descend(x, y)
+            u0, v0, u1, v1 = steps[len(steps) // 2]
+            steps[len(steps) // 2] = (u0 + 1, v0, u1, v1)
+            return x, y, steps
+
+        recip._batched_descent = corrupted
+        rng = random.Random(4096)
+        pairs = []
+        while len(pairs) < 4:
+            a, m = rng.getrandbits(4096) | 1 << 4095, rng.getrandbits(4096) | 1 << 4095
+            if math.gcd(a, m) == 1:
+                sa, sm = ((1, 1), (1, -1), (-1, 1), (-1, -1))[len(pairs)]
+                pairs.append((sa * a, sm * m))
+
+        def caught(call):
+            count = 0
+            for a, m in pairs:
+                try:
+                    call(a, m)
+                except InvariantError:
+                    count += 1
+            return count
+
+        print(__debug__, caught(core.inverse), caught(recip.inverse_via_reciprocity))
+    """)
+    assert _run_optimized(script) == ["False", "4", "4"]
+
+
 def _run_optimized(script: str) -> list[str]:
     """Run script in a python -O child and return its stdout words."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from modrecip.core import InverseFailure, NotCoprimeError, ZeroOperandError, mod_inverse
 from modrecip.recip import (
+    _WINDOW_BITS,
+    _batched_descent,
     inverse_via_reciprocity,
     reciprocity_check,
     solve_diophantine,
@@ -108,6 +110,23 @@ def test_post_condition_survives_optimize_flag():
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "4"]
+
+
+def test_batched_descent_keeps_a_euclid_pair():
+    # the window's last quotient overshoots on this pair, so the full pair
+    # must refuse that batch and take a full step instead: every pair on the
+    # way down stays 0 < y < x, and every step matrix is unimodular
+    a = 0x814882B579F401F4530E5B95E81376E66D23DE3C7C0B9EC2497C0290B45B7645
+    m = 0x92DDA450A09ED2253C0E434A7D963C0B1AD9B2B78B4516807E96BEB179B9D00F
+    for x, y in ((a, m), (m, a)):
+        end_x, end_y, steps = _batched_descent(x, y)
+        for u0, v0, u1, v1 in steps:
+            assert u0 * v1 - v0 * u1 in (1, -1)
+            x, y = u0 * x + v0 * y, u1 * x + v1 * y
+            assert 0 < y < x
+        assert (x, y) == (end_x, end_y) and end_y.bit_length() <= _WINDOW_BITS
+    for x, y in ((a, m), (-a, m), (a, -m), (m, a)):
+        assert inverse_via_reciprocity(x, y).result == pow(x, -1, y)
 
 
 def test_recursion_survives_fibonacci_worst_case():
