@@ -21,11 +21,8 @@ import statistics
 import time
 from dataclasses import dataclass
 
-from .core import DomainError, extended_gcd
+from .core import MAX_BITS, MIN_BITS, DomainError, extended_gcd
 from .recip import inverse_via_reciprocity
-
-MIN_BITS = 64
-MAX_BITS = 16384
 
 
 @dataclass(frozen=True)

@@ -4,24 +4,20 @@ Exit codes: 0 success, 1 usage or parse error, 2 undefined inverse or
 violated hypothesis, 3 verification counterexample.  Prefix operands that
 start with '-' and are not plain negative decimals (hex, Gaussian forms)
 with a standalone '--' argument.
+
+Only :mod:`modrecip.core` is imported up front.  Each subcommand imports
+the modules it runs when it runs, so a one-shot process such as
+``python -m modrecip inv 3 7`` loads neither the sweeps nor the bench.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict, replace
-from json import dumps
 from typing import Callable, NamedTuple
 
-from . import bench as bench_mod
-from .core import DomainError, NotCoprimeError, ZeroOperandError, classical_inverse, inverse
-from .gaussian import (GaussianInteger, format_gaussian, gaussian_inverse,
-                       inverse_mod_gaussian_linear, parse_gaussian)
-from .identities import (QuadPairReport, quad_pair_inverses, reduce_inverse_minus,
-                         reduce_inverse_plus, square_inverse, sum_inverse_values)
-from .recip import reciprocity_check
-from .verify import MAX_SHARDS, SweepConfig, load_sweep_config, run_all
+from .core import (MAX_BITS, MAX_SHARDS, MIN_BITS, DomainError, NotCoprimeError,
+                   ZeroOperandError, classical_inverse, inverse)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -68,11 +64,13 @@ def _int_arg(text: str) -> int:
     return _capped(text, parse_integer, "integer", lambda n: (n,))
 
 
-def _gauss_arg(text: str) -> GaussianInteger:
+def _gauss_arg(text: str):
+    from .gaussian import parse_gaussian
     return _capped(text, parse_gaussian, "Gaussian integer", lambda z: (z.re, z.im))
 
 
 def _emit_json(obj) -> None:
+    from json import dumps
     print(dumps(obj, sort_keys=True))
 
 
@@ -90,6 +88,8 @@ def _classical_inv(a, m):
 
 
 def _recip(a, b):
+    from dataclasses import asdict
+    from .recip import reciprocity_check
     rep = reciprocity_check(a, b)
     text = (f"inv_a_mod_b={rep.inv_a_mod_b} inv_b_mod_a={rep.inv_b_mod_a} "
             f"lhs={rep.lhs} rhs={rep.rhs} k={rep.k} holds={str(rep.holds).lower()}")
@@ -97,6 +97,7 @@ def _recip(a, b):
 
 
 def _reduce(a, b, k, minus):
+    from .identities import reduce_inverse_minus, reduce_inverse_plus
     value = (reduce_inverse_minus if minus else reduce_inverse_plus)(a, b, k)
     obj = {"a": a, "b": b, "k": k, "form": "minus" if minus else "plus",
            "modulus": k * a - b if minus else k * a + b, "inverse": value}
@@ -104,6 +105,7 @@ def _reduce(a, b, k, minus):
 
 
 def _square_inv(a, b):
+    from .identities import square_inverse
     value = square_inverse(a, b)
     return {"a": a, "b": b, "modulus": a * a, "inverse": value}, str(value)
 
@@ -112,7 +114,7 @@ def _flags(flags) -> str:
     return "n/a" if flags is None else ",".join(str(f).lower() for f in flags)
 
 
-def _quad_text(rep: QuadPairReport) -> str:
+def _quad_text(rep) -> str:
     return "\n".join((
         f"u={rep.u} v={rep.v} s={rep.s} t={rep.t}",
         f"x1={rep.x[0]} x2={rep.x[1]} x3={rep.x[2]} x4={rep.x[3]}",
@@ -125,17 +127,22 @@ def _quad_text(rep: QuadPairReport) -> str:
 
 
 def _quad(a, b, c, d):
+    from dataclasses import asdict
+    from .identities import quad_pair_inverses
     rep = quad_pair_inverses(a, b, c, d)
     return asdict(rep), _quad_text(rep)
 
 
 def _sums(a, b, c, d):
+    from dataclasses import asdict
+    from .identities import sum_inverse_values
     rep, values = sum_inverse_values(a, b, c, d)
     text = _quad_text(rep) + "\n" + " ".join(f"{k}={v}" for k, v in values.items())
     return asdict(rep) | values, text
 
 
 def _gauss_inv(z, w):
+    from .gaussian import format_gaussian, gaussian_inverse
     representative, canonical = map(format_gaussian, gaussian_inverse(z, w))
     obj = {"z": format_gaussian(z), "w": format_gaussian(w),
            "representative": representative, "canonical": canonical}
@@ -143,6 +150,7 @@ def _gauss_inv(z, w):
 
 
 def _gauss_linear_inv(a, b):
+    from .gaussian import GaussianInteger, format_gaussian, inverse_mod_gaussian_linear
     value = format_gaussian(inverse_mod_gaussian_linear(a, b))
     modulus = format_gaussian(GaussianInteger(b, a))
     return {"a": a, "b": b, "modulus": modulus, "inverse": value}, value
@@ -189,6 +197,8 @@ def _run_command(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from dataclasses import asdict, replace
+    from .verify import SweepConfig, load_sweep_config, run_all
     overrides = {"bound": args.bound, "k_bound": args.k_bound,
                  "gaussian_bound": args.gaussian_bound, "shard_count": args.shards}
     try:
@@ -215,14 +225,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if not bench_mod.MIN_BITS <= args.bits <= bench_mod.MAX_BITS:
-        print(f"modrecip bench: error: --bits must be in "
-              f"[{bench_mod.MIN_BITS}, {bench_mod.MAX_BITS}]", file=sys.stderr)
+    if not MIN_BITS <= args.bits <= MAX_BITS:
+        print(f"modrecip bench: error: --bits must be in [{MIN_BITS}, {MAX_BITS}]",
+              file=sys.stderr)
         return EXIT_USAGE
     if args.iters < 1:
         print("modrecip bench: error: --iters must be at least 1", file=sys.stderr)
         return EXIT_USAGE
-    report = bench_mod.run_bench(args.bits, args.iters, args.seed)
+    from dataclasses import asdict
+    from .bench import run_bench
+    report = run_bench(args.bits, args.iters, args.seed)
     if not report.all_agreed:
         print(f"modrecip bench: routes disagreed on {report.iterations - report.agreement_count}"
               " trial(s); no timing report", file=sys.stderr)
@@ -268,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", parents=[common],
                        help="time reciprocity-route inversion against extended gcd and the built-in pow")
     p.add_argument("--bits", type=_int_arg, required=True,
-                   help=f"operand width in bits ({bench_mod.MIN_BITS} to {bench_mod.MAX_BITS})")
+                   help=f"operand width in bits ({MIN_BITS} to {MAX_BITS})")
     p.add_argument("--iters", type=_int_arg, default=1000, help="number of trials")
     p.add_argument("--seed", type=_int_arg, metavar="U64", default=None,
                    help="seed for the random operands")

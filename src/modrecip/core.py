@@ -17,7 +17,9 @@ reciprocity route :func:`modrecip.recip.inverse_via_reciprocity`, and
 :func:`inverse_pair` gets both inverses of a coprime pair from
 one inversion and the reciprocity identity.  :func:`mod_inverse` is the
 public-edge form that returns those two failures as an
-:class:`InverseOutcome` instead.  The pure-Python
+:class:`InverseOutcome` instead.  That is a plain immutable value class with
+slots, not a dataclass, so a one-shot ``modrecip inv`` process never imports
+:mod:`dataclasses` and the ``inspect`` chain behind it.  The pure-Python
 :func:`extended_gcd` stays as the independent Bezout-certificate oracle the
 verification sweeps check it against.
 """
@@ -25,8 +27,13 @@ verification sweeps check it against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+
+
+# Bounds the CLI parser prints in its help, kept here so that building the
+# parser imports neither verify nor bench; both modules re-export them.
+MAX_SHARDS = 32  # verify: one worker process per shard, inside one machine
+MIN_BITS, MAX_BITS = 64, 16384  # bench: operand widths
 
 
 class ZeroOperandError(ValueError):
@@ -58,16 +65,39 @@ _FAILURE_EXC = {
 }
 
 
-@dataclass(frozen=True)
 class InverseOutcome:
-    """Either an inverse value or a typed reason why none exists."""
+    """Either an inverse value or a typed reason why none exists.
 
-    result: int | None = None
-    failure: InverseFailure | None = None
+    An immutable value: outcomes compare and hash by (result, failure).
+    """
 
-    def __post_init__(self) -> None:
-        if (self.result is None) == (self.failure is None):
+    __slots__ = ("result", "failure")
+
+    def __init__(self, result: int | None = None, failure: InverseFailure | None = None):
+        if (result is None) == (failure is None):
             raise ValueError("exactly one of result/failure must be set")
+        _set_result(self, result)
+        _set_failure(self, failure)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return InverseOutcome, (self.result, self.failure)
+
+    def __eq__(self, other):
+        if type(other) is not InverseOutcome:
+            return NotImplemented
+        return self.result == other.result and self.failure == other.failure
+
+    def __hash__(self):
+        return hash((self.result, self.failure))
+
+    def __repr__(self):
+        return f"InverseOutcome(result={self.result!r}, failure={self.failure!r})"
 
     @property
     def ok(self) -> bool:
@@ -78,6 +108,10 @@ class InverseOutcome:
         if self.failure is not None:
             raise _FAILURE_EXC[self.failure](self.failure.value)
         return self.result
+
+
+# the slots' own setters: the only writes, bypassing the refusing __setattr__
+_set_result, _set_failure = InverseOutcome.result.__set__, InverseOutcome.failure.__set__
 
 
 def sign(n: int) -> int:

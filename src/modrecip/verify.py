@@ -20,6 +20,7 @@ from itertools import repeat
 from typing import Callable, Iterable, NamedTuple
 
 from .core import (
+    MAX_SHARDS,
     DomainError,
     brute_force_inverse,
     classical_inverse,
@@ -49,8 +50,6 @@ from .recip import inverse_via_reciprocity, reciprocity_check
 
 # brute_force_inverse is O(|m|); keep CLI-driven sweeps under this modulus
 BRUTE_FORCE_CAP = 1 << 20
-# one worker process per shard; keep the pool well inside a single machine
-MAX_SHARDS = 32
 
 _SAMPLE_LIMIT = 5
 # |a| bound of the unit-modulus table

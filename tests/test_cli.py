@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from modrecip import bench as bench_mod
-from modrecip import cli
+from modrecip import cli, verify
 from modrecip.bench import BenchReport
 from modrecip.cli import MAX_OPERAND_BITS, main
 from modrecip.core import DomainError, NotCoprimeError, ZeroOperandError, inverse, mod_inverse
@@ -285,7 +285,7 @@ def test_verify_config_file(tmp_path, capsys):
 
 def test_verify_counterexample_exit_3(monkeypatch, capsys):
     fake = [SweepResult("reciprocity", 10, 1, ["a=1 b=1 lhs=3 rhs=2 k=2"])]
-    monkeypatch.setattr(cli, "run_all", lambda config, classical_units=False: fake)
+    monkeypatch.setattr(verify, "run_all", lambda config, classical_units=False: fake)
     code, out, _ = run(capsys, "verify")
     assert code == 3
     assert "minimal counterexample: a=1 b=1" in out

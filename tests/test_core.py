@@ -1,5 +1,8 @@
 import math
+import pickle
 import random
+import timeit
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import assume, given, settings
@@ -159,6 +162,58 @@ def test_outcome_requires_exactly_one_side():
         InverseOutcome()
     with pytest.raises(ValueError):
         InverseOutcome(result=1, failure=InverseFailure.NOT_COPRIME)
+
+
+def test_outcome_is_an_immutable_value():
+    five, again = InverseOutcome(result=5), InverseOutcome(result=5)
+    fail = InverseOutcome(failure=InverseFailure.NOT_COPRIME)
+    assert five == again and five is not again and mod_inverse(3, 7) == five
+    assert hash(five) == hash(again) == hash(five) and len({five, again, fail}) == 2
+    assert five != InverseOutcome(result=6) and five != fail and five != (5, None)
+    assert fail == mod_inverse(2, 4) and fail != InverseOutcome(failure=InverseFailure.ZERO_OPERAND)
+    for mutate in (lambda: setattr(five, "result", 6), lambda: setattr(five, "extra", 1),
+                   lambda: delattr(five, "result")):
+        with pytest.raises(AttributeError):
+            mutate()
+    assert five.result == 5 and five.failure is None
+    assert repr(five) == "InverseOutcome(result=5, failure=None)"
+    assert repr(fail) == ("InverseOutcome(result=None, "
+                          "failure=<InverseFailure.NOT_COPRIME: 'NotCoprime'>)")
+    assert pickle.loads(pickle.dumps(fail)) == fail
+    assert five.ok and not fail.ok and five.expect() == 5
+    with pytest.raises(NotCoprimeError):
+        fail.expect()
+
+
+@dataclass(frozen=True)
+class _DataclassOutcome:
+    """The frozen dataclass InverseOutcome used to be: the construction-cost reference."""
+
+    result: int | None = None
+    failure: InverseFailure | None = None
+
+    def __post_init__(self) -> None:
+        if (self.result is None) == (self.failure is None):
+            raise ValueError("exactly one of result/failure must be set")
+
+
+def _dataclass_mod_inverse(a, m):
+    try:
+        return _DataclassOutcome(result=inverse(a, m))
+    except ZeroOperandError:
+        return _DataclassOutcome(failure=InverseFailure.ZERO_OPERAND)
+    except NotCoprimeError:
+        return _DataclassOutcome(failure=InverseFailure.NOT_COPRIME)
+
+
+def test_outcome_construction_no_slower_than_the_dataclass():
+    # every sweep case builds an outcome; each round times both back to back,
+    # so the machine's speed drift cancels in the round's ratio
+    assert _dataclass_mod_inverse(3, 7).result == mod_inverse(3, 7).result
+    ratios = sorted(timeit.timeit(lambda: mod_inverse(3, 7), number=1000)
+                    / timeit.timeit(lambda: _dataclass_mod_inverse(3, 7), number=1000)
+                    for _ in range(21))
+    assert ratios[10] <= 1, ratios
 
 
 def test_unit_inverse_branch_table():
