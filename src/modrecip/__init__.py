@@ -10,24 +10,29 @@ Names resolve on first use (PEP 562), so ``import modrecip`` loads no
 submodule; a one-shot CLI process loads only what its subcommand runs.
 """
 
+import sys as _sys
 from importlib import import_module as _import_module
+from types import ModuleType as _ModuleType
 
 __version__ = "0.1.0"
 
 # each exported name, by the submodule that defines it
 _EXPORTS = {
-    "bench": "BenchReport run_bench",
-    "core": "DomainError InvariantError InverseFailure InverseOutcome NotCoprimeError "
-            "ZeroOperandError brute_force_inverse classical_inverse extended_gcd floor_div "
-            "floor_mod mod_inverse sign unit_inverse",
-    "gaussian": "GaussianDivMod GaussianInteger divides format_gaussian gaussian_bezout_identity "
-                "gaussian_divmod gaussian_inverse inverse_mod_gaussian_linear parse_gaussian",
-    "identities": "QuadPairReport positive_case_exact quad_pair_inverses reduce_inverse_minus "
-                  "reduce_inverse_plus shift_invariance square_inverse sum_of_squares_inverses",
-    "recip": "ReciprocityReport inverse_via_reciprocity reciprocity_check solve_diophantine",
-    "verify": "SweepConfig SweepResult load_sweep_config run_all",
+    "bench": ("BenchReport", "run_bench"),
+    "core": ("DomainError", "InvariantError", "InverseFailure", "InverseOutcome",
+             "NotCoprimeError", "ZeroOperandError", "brute_force_inverse", "classical_inverse",
+             "extended_gcd", "floor_div", "floor_mod", "mod_inverse", "sign", "unit_inverse"),
+    "gaussian": ("GaussianDivMod", "GaussianInteger", "divides", "format_gaussian",
+                 "gaussian_bezout_identity", "gaussian_divmod", "gaussian_inverse",
+                 "inverse_mod_gaussian_linear", "parse_gaussian"),
+    "identities": ("QuadPairReport", "positive_case_exact", "quad_pair_inverses",
+                   "reduce_inverse_minus", "reduce_inverse_plus", "shift_invariance",
+                   "square_inverse", "sum_of_squares_inverses"),
+    "recip": ("ReciprocityReport", "inverse_via_reciprocity", "reciprocity_check",
+              "solve_diophantine"),
+    "verify": ("SweepConfig", "SweepResult", "load_sweep_config", "run_all"),
 }
-_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = sorted(_MODULE_OF)
 
@@ -42,5 +47,12 @@ def __getattr__(name: str):
     return value
 
 
-def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__, *_EXPORTS})
+class _Package(_ModuleType):
+    @property
+    def __dict__(self):  # vars() and dir() read every export, resolving each first
+        for name in __all__:
+            getattr(self, name)
+        return globals()
+
+
+_sys.modules[__name__].__class__ = _Package

@@ -18,7 +18,7 @@ reciprocity route :func:`modrecip.recip.inverse_via_reciprocity`, and
 one inversion and the reciprocity identity.  :func:`mod_inverse` is the
 public-edge form that returns those two failures as an
 :class:`InverseOutcome` instead.  That is a plain immutable value class with
-slots, not a dataclass, so a one-shot ``modrecip inv`` process never imports
+slots, not a dataclass, so ``modrecip inv`` up to _POW_MAX_BITS never imports
 :mod:`dataclasses` and the ``inspect`` chain behind it.  The pure-Python
 :func:`extended_gcd` stays as the independent Bezout-certificate oracle the
 verification sweeps check it against.

@@ -1,8 +1,6 @@
 import math
 import pickle
 import random
-import timeit
-from dataclasses import dataclass
 
 import pytest
 from hypothesis import assume, given, settings
@@ -183,37 +181,6 @@ def test_outcome_is_an_immutable_value():
     assert five.ok and not fail.ok and five.expect() == 5
     with pytest.raises(NotCoprimeError):
         fail.expect()
-
-
-@dataclass(frozen=True)
-class _DataclassOutcome:
-    """The frozen dataclass InverseOutcome used to be: the construction-cost reference."""
-
-    result: int | None = None
-    failure: InverseFailure | None = None
-
-    def __post_init__(self) -> None:
-        if (self.result is None) == (self.failure is None):
-            raise ValueError("exactly one of result/failure must be set")
-
-
-def _dataclass_mod_inverse(a, m):
-    try:
-        return _DataclassOutcome(result=inverse(a, m))
-    except ZeroOperandError:
-        return _DataclassOutcome(failure=InverseFailure.ZERO_OPERAND)
-    except NotCoprimeError:
-        return _DataclassOutcome(failure=InverseFailure.NOT_COPRIME)
-
-
-def test_outcome_construction_no_slower_than_the_dataclass():
-    # every sweep case builds an outcome; each round times both back to back,
-    # so the machine's speed drift cancels in the round's ratio
-    assert _dataclass_mod_inverse(3, 7).result == mod_inverse(3, 7).result
-    ratios = sorted(timeit.timeit(lambda: mod_inverse(3, 7), number=1000)
-                    / timeit.timeit(lambda: _dataclass_mod_inverse(3, 7), number=1000)
-                    for _ in range(21))
-    assert ratios[10] <= 1, ratios
 
 
 def test_unit_inverse_branch_table():

@@ -63,6 +63,20 @@ def test_quad_imports_identities_only():
     assert not added & unwanted, sorted(added & unwanted)
 
 
+def test_module_run_of_inv_loads_core_alone():
+    # the `python -m modrecip` path, through runpy and __main__, as one-shot calls run it
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "modrecip", "inv", "3", "7"],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert (proc.returncode, proc.stdout) == (0, "5\n"), proc.stderr
+    loaded = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert "modrecip.core" in loaded
+    unwanted = _HEAVY | {"modrecip.gaussian", "modrecip.identities", "modrecip.recip",
+                         "dataclasses"}
+    assert not loaded & unwanted, sorted(loaded & unwanted)
+
+
 def test_gauss_inv_imports_gaussian_only():
     added = _added_modules("gauss-inv", "1+1i", "2+1i")
     assert "modrecip.gaussian" in added
@@ -79,6 +93,20 @@ def test_exports_are_the_defining_modules_objects():
 
 def test_dir_covers_all():
     assert set(modrecip.__all__) <= set(dir(modrecip))
+
+
+def test_vars_of_a_fresh_import_lists_every_export():
+    script = """
+import sys
+import modrecip
+namespace = vars(modrecip)
+for name in modrecip.__all__:
+    obj = namespace[name]
+    assert getattr(sys.modules[obj.__module__], name) is obj, name
+assert set(modrecip.__all__) <= set(dir(modrecip))
+print(namespace is modrecip.__dict__ and namespace["verify"] is sys.modules["modrecip.verify"])
+"""
+    assert _child(script) == "True\n"
 
 
 def test_unknown_name_raises_attribute_error():
