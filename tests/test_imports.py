@@ -91,11 +91,7 @@ def test_exports_are_the_defining_modules_objects():
         assert getattr(sys.modules[obj.__module__], name) is obj, name
 
 
-def test_dir_covers_all():
-    assert set(modrecip.__all__) <= set(dir(modrecip))
-
-
-def test_vars_of_a_fresh_import_lists_every_export():
+def test_vars_and_dir_of_a_fresh_import_list_every_export():
     script = """
 import sys
 import modrecip
