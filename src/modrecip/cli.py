@@ -76,7 +76,8 @@ def _emit_json(obj) -> None:
 
 def _inv(a, m, classical):
     value = inverse(a, m)
-    cls = classical_inverse(a, m).expect()
+    # the classical value is the same residue modulo |m|, and 0 for a unit modulus
+    cls = value % abs(m) if abs(m) > 1 else 0
     method = "unit-closed-form" if abs(m) == 1 else "extended-gcd"
     text = f"{value} (classical: {cls})" if classical else str(value)
     return {"a": a, "m": m, "inverse": value, "classical": cls, "method": method}, text

@@ -9,13 +9,18 @@ identity in :mod:`modrecip.recip` hold without exceptions.
 :func:`inverse` is the one inversion primitive: it returns the int and
 raises ZeroOperandError or NotCoprimeError.  For |m| > 1 it takes one of
 two routes by operand width, both of whose results follow the sign of m.
-Up to a crossover of about two thousand bits (_POW_MAX_BITS, measured) it
-is the built-in ``pow(a, -1, m)``, extended Euclid in C.  Above it, where
-Euclid's one big division per quotient dominates, it is the Lehmer-batched
+Up to a crossover of 1664 bits (_POW_MAX_BITS, measured) it is the
+built-in ``pow(a, -1, m)``, extended Euclid in C.  Above it, where Euclid's
+one big division per quotient dominates, it is the Lehmer-batched
 reciprocity route :func:`modrecip.recip.inverse_via_reciprocity`, and
 ``pow`` stays the independent oracle the tests hold it to.
-:func:`inverse_pair` gets both inverses of a coprime pair from
-one inversion and the reciprocity identity.  :func:`mod_inverse` is the
+:func:`inverse_pair` gets both inverses of a coprime pair from one
+inversion and the reciprocity identity a*inv(a mod b) + b*inv(b mod a) =
+1 + a*b.  On the ``pow`` route the identity gives the partner by one exact
+division.  On the batched route the climb ends on both values, and the
+identity, checked with two multiplications, certifies them in place of any
+division; :func:`modrecip.recip.solve_diophantine` reads its cofactor off
+the same pair.  :func:`mod_inverse` is the
 public-edge form that returns those two failures as an
 :class:`InverseOutcome` instead.  That is a plain immutable value class with
 slots, not a dataclass, so ``modrecip inv`` up to _POW_MAX_BITS never imports
@@ -168,9 +173,23 @@ def unit_inverse(a: int, m: int) -> int:
 # The built-in pow(a, -1, m) is plain Euclid in C, one big division per
 # quotient.  The Lehmer-batched reciprocity route overtakes it once the
 # narrower operand is wider than this.  Per call on a 2-vCPU box under
-# Python 3.11, the two tie at 1536-2048 bits, and the batched route is
-# 1.3-1.7x as fast at 2560-3072 bits, 1.6x at 4096 and 2.5x at 8192.
-_POW_MAX_BITS = 2048
+# Python 3.11, back to back on the same pairs, the batched inverse takes
+# 1.02-1.07 times pow's time at 1536 bits, 0.99 at 1664, 0.92-0.93 at 1792,
+# 0.83-0.85 at 2048 and 0.75-0.83 at 2560.
+_POW_MAX_BITS = 1664
+
+
+def _require_coprime(a: int, m: int) -> None:
+    if a == 0 or m == 0:
+        raise ZeroOperandError("inverse needs a nonzero operand and modulus")
+    # either route costs far more on a shared factor than this gcd
+    if math.gcd(a, m) != 1:
+        raise NotCoprimeError("operand and modulus share a factor")
+
+
+def _batched(a: int, m: int) -> bool:
+    """Whether both operands are wider than _POW_MAX_BITS."""
+    return a.bit_length() > _POW_MAX_BITS and m.bit_length() > _POW_MAX_BITS
 
 
 def inverse(a: int, m: int) -> int:
@@ -183,12 +202,8 @@ def inverse(a: int, m: int) -> int:
     ``pow(a, -1, m)`` while the narrower operand has at most _POW_MAX_BITS
     bits, and :func:`modrecip.recip.inverse_via_reciprocity` above that.
     """
-    if a == 0 or m == 0:
-        raise ZeroOperandError("inverse needs a nonzero operand and modulus")
-    # either route costs far more on a shared factor than this gcd
-    if math.gcd(a, m) != 1:
-        raise NotCoprimeError("operand and modulus share a factor")
-    if m.bit_length() <= _POW_MAX_BITS or a.bit_length() <= _POW_MAX_BITS:
+    _require_coprime(a, m)
+    if not _batched(a, m):
         # pow gives 0 only for a unit modulus, which takes the signed closed form
         return pow(a, -1, m) or unit_inverse(a, m)
     from .recip import inverse_via_reciprocity  # recip imports this module
@@ -198,13 +213,19 @@ def inverse(a: int, m: int) -> int:
 def inverse_pair(a: int, b: int) -> tuple[int, int]:
     """Both inverses of a pair, (inv(a mod b), inv(b mod a)), for one inversion.
 
-    The reciprocity identity a*inv(a mod b) + b*inv(b mod a) = 1 + a*b
-    gives the partner by one exact division once inv(a mod b) is known.
-    Raises what :func:`inverse` raises, which is symmetric in a and b.  A
-    nonzero remainder, or a partner outside its window [0, a] / [a, 0],
-    raises InvariantError; for |a| > 1 the two checks together certify
-    both values.
+    Raises what :func:`inverse` raises, which is symmetric in a and b.  On
+    the batched route the climb of :func:`modrecip.recip.reciprocal_pair`
+    ends on both values and certifies them by the reciprocity identity
+    a*inv(a mod b) + b*inv(b mod a) = 1 + a*b.  On the ``pow`` route the
+    identity gives the partner by one exact division once inv(a mod b) is
+    known: a nonzero remainder, or a partner outside its window [0, a] /
+    [a, 0], raises InvariantError; for |a| > 1 the two checks together
+    certify both values.
     """
+    if _batched(a, b):
+        _require_coprime(a, b)
+        from .recip import reciprocal_pair
+        return reciprocal_pair(a, b)
     x = inverse(a, b)
     y, rem = divmod(1 + a * b - a * x, b)
     if rem:

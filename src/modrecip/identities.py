@@ -140,15 +140,9 @@ def quad_pair_inverses(a: int, b: int, c: int, d: int) -> QuadPairReport:
     """Build and verify the full cross-pair report for one quadruple.
 
     Needs gcd(a,b) = gcd(c,d) = 1 and |u| > 1, |v| > 1.  The sum and
-    proof-identity flags stay None unless gcd(u, v) = 1.
+    proof-identity flags stay None unless gcd(u, v) = 1.  The report takes
+    two inversions, one pair each for (a, b) and (c, d).
     """
-    return _quad_report(a, b, c, d)[0]
-
-
-def _quad_report(
-    a: int, b: int, c: int, d: int
-) -> tuple[QuadPairReport, tuple[int, int] | None]:
-    """The quad report, plus (inv(v mod u), inv(u mod v)) when gcd(u, v) = 1."""
     if math.gcd(a, b) != 1 or math.gcd(c, d) != 1:
         raise NotCoprimeError("both (a,b) and (c,d) must be coprime pairs")
     u = a * c + b * d
@@ -174,17 +168,14 @@ def _quad_report(
 
     sum_ok = None
     proof_ok = None
-    try:  # the pair's own gcd check decides whether gcd(u, v) = 1
-        uv_pair = inv_vu, inv_uv = inverse_pair(v, u)
-    except NotCoprimeError:
-        uv_pair = None
-    else:
-        # y1*inv(v mod u) inverts s modulo u, and so on
+    if math.gcd(u, v) == 1:
+        # v is a unit modulo u, so y1*inv(v mod u) inverts s modulo u iff
+        # s*y1 = v (mod u); and so on.  No inverse modulo u or v is needed.
         sum_ok = (
-            (s * y1 * inv_vu - 1) % u == 0,
-            (t * x1 * inv_vu - 1) % u == 0,
-            (s * y4 * inv_uv - 1) % v == 0,
-            (t * x4 * inv_uv - 1) % v == 0,
+            (s * y1 - v) % u == 0,
+            (t * x1 - v) % u == 0,
+            (s * y4 - u) % v == 0,
+            (t * x4 - u) % v == 0,
         )
         proof_ok = (
             s * y1 == v + u * z1,
@@ -193,7 +184,7 @@ def _quad_report(
             t * x4 == u + v * z3,
         )
 
-    report = QuadPairReport(
+    return QuadPairReport(
         a=a,
         b=b,
         c=c,
@@ -209,7 +200,6 @@ def _quad_report(
         sum_inverse_ok=sum_ok,
         proof_identity_ok=proof_ok,
     )
-    return report, uv_pair
 
 
 def sum_of_squares_inverses(a: int, b: int, c: int, d: int) -> QuadPairReport:
@@ -225,13 +215,11 @@ def sum_inverse_values(a: int, b: int, c: int, d: int) -> tuple[QuadPairReport, 
 
     s*y1 = t*x1 = v (mod u) and s*y4 = t*x4 = u (mod v), so the inverses of
     s and t modulo u and v are y1, x1, y4 and x4 times the pair
-    inv(v mod u), inv(u mod v) that the report has already taken.
+    inv(v mod u), inv(u mod v), which one more inversion gives.
     """
-    report, uv_pair = _quad_report(a, b, c, d)
-    if uv_pair is None:
-        raise NotCoprimeError("gcd(u, v) != 1")
-    inv_vu, inv_uv = uv_pair
+    report = sum_of_squares_inverses(a, b, c, d)
     u, v, x, y = report.u, report.v, report.x, report.y
+    inv_vu, inv_uv = inverse_pair(v, u)
     return report, {"s_inv_mod_u": y[0] * inv_vu % u, "t_inv_mod_u": x[0] * inv_vu % u,
                     "s_inv_mod_v": y[3] * inv_uv % v, "t_inv_mod_v": x[3] * inv_uv % v}
 

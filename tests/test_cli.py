@@ -13,7 +13,8 @@ from modrecip import bench as bench_mod
 from modrecip import cli, verify
 from modrecip.bench import BenchReport
 from modrecip.cli import MAX_OPERAND_BITS, main
-from modrecip.core import DomainError, NotCoprimeError, ZeroOperandError, inverse, mod_inverse
+from modrecip.core import (DomainError, NotCoprimeError, ZeroOperandError, classical_inverse, inverse,
+                           mod_inverse)
 from modrecip.identities import sum_inverse_values
 from modrecip.verify import SweepResult
 
@@ -74,6 +75,25 @@ def test_classical_inv(capsys):
     code, out, _ = run(capsys, "classical-inv", "3", "-5", "--json")
     assert code == 0
     assert json.loads(out) == {"a": 3, "m": -5, "classical": 2}
+
+
+def test_inv_classical_value_matches_classical_inverse():
+    # inv derives the classical value from its one signed inversion: every
+    # sign, unit and shared-factor moduli and one pair past the crossover
+    rng = random.Random(4096)
+    wide_a, wide_m = rng.getrandbits(4096) | 1 << 4095, rng.getrandbits(4096) | 1 << 4095
+    while math.gcd(wide_a, wide_m) != 1:
+        wide_m += 1
+    grid = [(a, m) for a in range(-12, 13) for m in range(-12, 13)]
+    for a, m in grid + [(-wide_a, wide_m), (wide_a, -wide_m)]:
+        try:
+            want = classical_inverse(a, m).expect()
+        except ValueError as exc:
+            with pytest.raises(type(exc)):
+                cli.COMMANDS["inv"].compute(a, m, True)
+            continue
+        obj, text = cli.COMMANDS["inv"].compute(a, m, True)
+        assert obj["classical"] == want and text == f"{obj['inverse']} (classical: {want})"
 
 
 def test_recip_text(capsys):

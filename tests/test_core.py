@@ -149,10 +149,22 @@ wide = st.integers(64, 8192).flatmap(lambda bits: st.integers(1 << (bits - 1), (
 signed_wide = st.tuples(wide, st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
 
 
+def _diophantine_by_pow(a, m):
+    """(x, k) with a*x - k*m = 1 from pow and exact division, or the error type."""
+    if math.gcd(a, m) != 1:
+        return NotCoprimeError
+    x = pow(a, -1, m)
+    k, rem = divmod(a * x - 1, m)
+    assert rem == 0
+    return x, k
+
+
 @settings(max_examples=100, deadline=None)
 @given(signed_wide, signed_wide)
 def test_inverse_pair_matches_two_inversions_wide(a, b):
+    # above the crossover both come from one climb, certified by the identity
     assert _pair_or_error(a, b, inverse_pair) == _pair_or_error(a, b, _two_inversions)
+    assert _pair_or_error(a, b, recip.solve_diophantine) == _diophantine_by_pow(a, b)
 
 
 def test_outcome_requires_exactly_one_side():

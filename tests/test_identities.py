@@ -3,6 +3,8 @@ import math
 import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from modrecip import core, identities
 from modrecip.cli import COMMANDS
@@ -23,6 +25,7 @@ from modrecip.identities import (
     reduce_inverse_plus,
     shift_invariance,
     square_inverse,
+    sum_inverse_values,
     sum_of_squares_inverses,
 )
 from modrecip.recip import reciprocity_check
@@ -196,24 +199,24 @@ def test_quad_sweep_small():
             assert quad_pair_inverses(a, b, c, d).all_ok, (a, b, c, d)
 
 
-def _reinversion_flags(rep):
-    """The report's flags recomputed by re-inverting, as the reference."""
+def _reinversion_flags(rep, inv=lambda a, m: mod_inverse(a, m).expect()):
+    """The report's flags recomputed by re-inverting with inv, as the reference."""
     x, y, u, v = rep.x, rep.y, rep.u, rep.v
     pair_ok = (
-        mod_inverse(x[0], u).expect() == floor_mod(y[0], u),
-        mod_inverse(x[1], u).expect() == floor_mod(y[1], u),
-        mod_inverse(x[2], v).expect() == floor_mod(y[2], v),
-        mod_inverse(x[3], v).expect() == floor_mod(y[3], v),
+        inv(x[0], u) == floor_mod(y[0], u),
+        inv(x[1], u) == floor_mod(y[1], u),
+        inv(x[2], v) == floor_mod(y[2], v),
+        inv(x[3], v) == floor_mod(y[3], v),
     )
     if math.gcd(u, v) != 1:
         return pair_ok, None
-    inv_vu = mod_inverse(v, u).expect()
-    inv_uv = mod_inverse(u, v).expect()
+    inv_vu = inv(v, u)
+    inv_uv = inv(u, v)
     sum_ok = (
-        floor_mod(y[0] * inv_vu, u) == mod_inverse(rep.s, u).expect(),
-        floor_mod(x[0] * inv_vu, u) == mod_inverse(rep.t, u).expect(),
-        floor_mod(y[3] * inv_uv, v) == mod_inverse(rep.s, v).expect(),
-        floor_mod(x[3] * inv_uv, v) == mod_inverse(rep.t, v).expect(),
+        floor_mod(y[0] * inv_vu, u) == inv(rep.s, u),
+        floor_mod(x[0] * inv_vu, u) == inv(rep.t, u),
+        floor_mod(y[3] * inv_uv, v) == inv(rep.s, v),
+        floor_mod(x[3] * inv_uv, v) == inv(rep.t, v),
     )
     return pair_ok, sum_ok
 
@@ -229,6 +232,29 @@ def test_quad_product_flags_equal_reinversion_flags():
         assert (rep.pair_inverse_ok, rep.sum_inverse_ok) == _reinversion_flags(rep), (a, b, c, d)
         checked += 1
     assert checked == 44576
+
+
+_wide = st.integers(256, 4096).flatmap(lambda bits: st.integers(1 << (bits - 1), (1 << bits) - 1))
+_signed_wide = st.tuples(_wide, st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
+
+
+@settings(max_examples=30, deadline=None)
+@given(_signed_wide, _signed_wide, _signed_wide, _signed_wide)
+def test_quad_product_flags_equal_reinversion_flags_wide(a, b, c, d):
+    # pairs past the crossover take the batched route, and so does the
+    # double-width (v, u) pair of sums; pow is the reference there
+    g, h = math.gcd(a, b), math.gcd(c, d)
+    a, b, c, d = a // g, b // g, c // h, d // h
+    assume(abs(a * c + b * d) > 1 and abs(a * d - b * c) > 1)
+    rep = quad_pair_inverses(a, b, c, d)
+    want = _reinversion_flags(rep, inv=lambda a, m: pow(a, -1, m))
+    assert (rep.pair_inverse_ok, rep.sum_inverse_ok) == want
+    assert rep.all_ok
+    if rep.sum_inverse_ok is not None:
+        u, v, s, t = rep.u, rep.v, rep.s, rep.t
+        assert sum_inverse_values(a, b, c, d) == (rep, {
+            "s_inv_mod_u": pow(s, -1, u), "t_inv_mod_u": pow(t, -1, u),
+            "s_inv_mod_v": pow(s, -1, v), "t_inv_mod_v": pow(t, -1, v)})
 
 
 def test_positive_case_examples():
@@ -283,14 +309,17 @@ def test_paired_callers_invert_once_per_pair(monkeypatch):
 
     rep = quad_pair_inverses(3, 2, 1, 2)
     assert math.gcd(rep.u, rep.v) == 1 and rep.sum_inverse_ok is not None
-    assert count(quad_pair_inverses, 3, 2, 1, 2) == 3
-    # sums reads its four inverses off the pair the quad report already took
+    # the sum flags need gcd(u, v) = 1 but no inverse modulo u or v
+    assert count(quad_pair_inverses, 3, 2, 1, 2) == 2
+    # sums adds the one (v, u) pair its four values need
     assert count(COMMANDS["sums"].compute, 3, 2, 1, 2) == 3
     assert count(positive_case_exact, 3, 2, 1, 2) == 2
     assert count(reduce_inverse_plus, 7, 3, 2) == 1
     assert count(reduce_inverse_minus, 7, 3, 2) == 1
     assert count(gaussian_bezout_identity, 2, 3, 4, 1) == 1
     assert count(inverse_mod_gaussian_linear, 7, 3) == 1
+    # inv derives its classical value from the one signed inversion
+    assert count(COMMANDS["inv"].compute, 3, 7, True) == 1
     # the reciprocity sweep's subject keeps two independent inversions
     assert count(reciprocity_check, 7, 3) == 2
 

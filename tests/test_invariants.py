@@ -80,7 +80,9 @@ def test_inverse_pair_checks_survive_optimize_flag():
 
 def test_batch_climb_check_survives_optimize_flag():
     # a climb that leaves the descent's batches must be caught by the final
-    # check, through inverse as through the route, when asserts are stripped
+    # check, through inverse as through the route, when asserts are stripped;
+    # so must one whose inverse is right but whose partner is not, through
+    # every caller of the pair
     script = textwrap.dedent("""
         import math
         import random
@@ -89,13 +91,17 @@ def test_batch_climb_check_survives_optimize_flag():
 
         descend = recip._batched_descent
 
-        def corrupted(x, y):
-            x, y, steps = descend(x, y)
-            u0, v0, u1, v1 = steps[len(steps) // 2]
-            steps[len(steps) // 2] = (u0 + 1, v0, u1, v1)
-            return x, y, steps
+        def corrupted(entry, position):
+            # add one to one entry of one recorded step matrix
+            def descent(x, y):
+                x, y, steps = descend(x, y)
+                i = position(len(steps))
+                step = list(steps[i])
+                step[entry] += 1
+                steps[i] = tuple(step)
+                return x, y, steps
+            return descent
 
-        recip._batched_descent = corrupted
         rng = random.Random(4096)
         pairs = []
         while len(pairs) < 4:
@@ -113,9 +119,16 @@ def test_batch_climb_check_survives_optimize_flag():
                     count += 1
             return count
 
-        print(__debug__, caught(core.inverse), caught(recip.inverse_via_reciprocity))
+        # u0 of a middle step: the climb's inverse goes wrong
+        recip._batched_descent = corrupted(0, lambda n: n // 2)
+        climb = caught(core.inverse), caught(recip.inverse_via_reciprocity)
+        # v1 of the outermost step moves only the top V, so only the partner
+        recip._batched_descent = corrupted(3, lambda n: 0)
+        partner = (caught(core.inverse), caught(core.inverse_pair),
+                   caught(recip.solve_diophantine))
+        print(__debug__, *climb, *partner)
     """)
-    assert _run_optimized(script) == ["False", "4", "4"]
+    assert _run_optimized(script) == ["False", "4", "4", "4", "4", "4"]
 
 
 def _run_optimized(script: str) -> list[str]:
