@@ -15,15 +15,10 @@ one big division per quotient dominates, it is the Lehmer-batched
 reciprocity route :func:`modrecip.recip.inverse_via_reciprocity`, and
 ``pow`` stays the independent oracle the tests hold it to.
 :func:`inverse_pair` gets both inverses of a coprime pair from one
-inversion and the reciprocity identity a*inv(a mod b) + b*inv(b mod a) =
-1 + a*b.  On the ``pow`` route the identity gives the partner by one exact
-division.  On the batched route the climb ends on both values, and the
-identity, checked with two multiplications, certifies them in place of any
-division; :func:`modrecip.recip.solve_diophantine` reads its cofactor off
-the same pair.  :func:`mod_inverse` is the
-public-edge form that returns those two failures as an
-:class:`InverseOutcome` instead.  That is a plain immutable value class with
-slots, not a dataclass, so ``modrecip inv`` up to _POW_MAX_BITS never imports
+inversion and the reciprocity identity, which also certifies them.
+:func:`mod_inverse` is the public-edge form that returns those two failures
+as an :class:`InverseOutcome` instead.  That is a plain immutable value class
+with slots, not a dataclass, so ``modrecip inv`` up to _POW_MAX_BITS never imports
 :mod:`dataclasses` and the ``inspect`` chain behind it.  The pure-Python
 :func:`extended_gcd` stays as the independent Bezout-certificate oracle the
 verification sweeps check it against.

@@ -204,11 +204,8 @@ def inverse_via_reciprocity(a: int, m: int) -> InverseOutcome:
     """Invert a modulo m by a Euclid descent and a division-free climb.
 
     The value is the first of :func:`reciprocal_pair`, whose docstring has
-    the algorithm.  The route stays quadratic in the operand width, with a
-    constant that beats the built-in ``pow`` above about 1,700 bits.
-    It never runs the extended Euclidean algorithm: no cofactor is carried
-    down the descent, and every inverse is built on the way back up from the
-    unit closed form.
+    the algorithm.  No cofactor is carried down the descent: every inverse
+    is built on the way back up from the unit closed form.
     """
     if a == 0 or m == 0:
         return InverseOutcome(failure=InverseFailure.ZERO_OPERAND)
