@@ -7,7 +7,10 @@ with a standalone '--' argument.
 
 Only :mod:`modrecip.core` is imported up front.  Each subcommand imports
 the modules it runs when it runs, so a one-shot process such as
-``python -m modrecip inv 3 7`` loads neither the sweeps nor the bench.
+``python -m modrecip inv 3 7`` loads neither the sweeps nor the bench, and
+only the subcommands that build a dataclass record (``recip``, ``quad``,
+``sums``, ``verify``, ``bench``) load :mod:`dataclasses`.  :func:`main`
+builds the subparser of the subcommand it runs and no other.
 """
 
 from __future__ import annotations
@@ -251,14 +254,26 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The CLI parser; when argv[0] names a subcommand, it holds that subparser alone.
+
+    Parsing argv gives the same namespace, output and exit code either way,
+    since argparse hands everything after the subcommand to its subparser.
+    The usage line still lists every subcommand.
+    """
+    names = [*COMMANDS, "verify", "bench"]
+    only = argv[0] if argv and argv[0] in names else None
+
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit one JSON object instead of text")
 
     parser = _Parser(prog="modrecip", description="Signed modular inverses and identities")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser,
+                                metavar="{" + ",".join(names) + "}" if only else None)
 
     for name, command in COMMANDS.items():
+        if only not in (None, name):
+            continue
         p = sub.add_parser(name, parents=[common], help=command.help)
         for operand in command.operands:
             p.add_argument(operand, type=command.operand_type)
@@ -266,26 +281,29 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(command.flag[0], action="store_true", help=command.flag[1])
         p.set_defaults(func=_run_command)
 
-    p = sub.add_parser("verify", parents=[common], help="run every verification sweep")
-    p.add_argument("--bound", type=_int_arg, default=None, help="reciprocity/oracle operand bound")
-    p.add_argument("--k-bound", dest="k_bound", type=_int_arg, default=None)
-    p.add_argument("--gaussian-bound", dest="gaussian_bound", type=_int_arg, default=None)
-    p.add_argument("--shards", type=_int_arg, default=None,
-                   help=f"worker processes for the sweeps (1 to {MAX_SHARDS})")
-    p.add_argument("--config", default=None, metavar="FILE",
-                   help="key=value file overriding any sweep bound")
-    p.add_argument("--use-classical-unit-inverse", action="store_true",
-                   help="substitute the classical 0 for unit moduli and check the designed breaks")
-    p.set_defaults(func=cmd_verify)
+    if only in (None, "verify"):
+        p = sub.add_parser("verify", parents=[common], help="run every verification sweep")
+        p.add_argument("--bound", type=_int_arg, default=None,
+                       help="reciprocity/oracle operand bound")
+        p.add_argument("--k-bound", dest="k_bound", type=_int_arg, default=None)
+        p.add_argument("--gaussian-bound", dest="gaussian_bound", type=_int_arg, default=None)
+        p.add_argument("--shards", type=_int_arg, default=None,
+                       help=f"worker processes for the sweeps (1 to {MAX_SHARDS})")
+        p.add_argument("--config", default=None, metavar="FILE",
+                       help="key=value file overriding any sweep bound")
+        p.add_argument("--use-classical-unit-inverse", action="store_true",
+                       help="substitute the classical 0 for unit moduli and check the designed breaks")
+        p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("bench", parents=[common],
-                       help="time reciprocity-route inversion against extended gcd and the built-in pow")
-    p.add_argument("--bits", type=_int_arg, required=True,
-                   help=f"operand width in bits ({MIN_BITS} to {MAX_BITS})")
-    p.add_argument("--iters", type=_int_arg, default=1000, help="number of trials")
-    p.add_argument("--seed", type=_int_arg, metavar="U64", default=None,
-                   help="seed for the random operands")
-    p.set_defaults(func=cmd_bench)
+    if only in (None, "bench"):
+        p = sub.add_parser("bench", parents=[common], help="time reciprocity-route inversion "
+                           "against extended gcd and the built-in pow")
+        p.add_argument("--bits", type=_int_arg, required=True,
+                       help=f"operand width in bits ({MIN_BITS} to {MAX_BITS})")
+        p.add_argument("--iters", type=_int_arg, default=1000, help="number of trials")
+        p.add_argument("--seed", type=_int_arg, metavar="U64", default=None,
+                       help="seed for the random operands")
+        p.set_defaults(func=cmd_bench)
 
     return parser
 
@@ -294,7 +312,8 @@ def main(argv=None) -> int:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        parser = build_parser()
+        argv = sys.argv[1:] if argv is None else list(argv)
+        parser = build_parser(argv)
         args = parser.parse_args(argv)
         # argparse takes a second "--" as an operand and hands it over as []
         empty = [name for name, value in vars(args).items() if isinstance(value, list)]

@@ -9,16 +9,45 @@ an inverse deterministic and representative-independent.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import DomainError, InvariantError, ZeroOperandError, inverse, inverse_pair
 
 
-@dataclass(frozen=True)
 class GaussianInteger:
-    re: int
-    im: int
+    """re + im*i.  An immutable value: compares and hashes by (re, im).
+
+    A slots class rather than a dataclass, so that Gaussian one-shot CLI
+    calls never import :mod:`dataclasses`, and construction, the sweeps'
+    hottest call, skips the frozen dataclass's ``object.__setattr__``.
+    """
+
+    __slots__ = ("re", "im")
+    __match_args__ = ("re", "im")
+
+    def __init__(self, re: int, im: int):
+        _set_re(self, re)
+        _set_im(self, im)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return GaussianInteger, (self.re, self.im)
+
+    def __eq__(self, other):
+        if type(other) is not GaussianInteger:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __repr__(self):
+        return f"GaussianInteger(re={self.re!r}, im={self.im!r})"
 
     def norm(self) -> int:
         """a*a + b*b; zero only for the zero element."""
@@ -30,41 +59,38 @@ class GaussianInteger:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def _coerce(self, other: "GaussianInteger | int") -> "GaussianInteger | None":
-        if isinstance(other, GaussianInteger):
-            return other
-        if isinstance(other, int):
-            return GaussianInteger(other, 0)
-        return None
-
+    # The arithmetic takes a GaussianInteger or an int; each branch builds its
+    # result directly, as the sweeps run millions of these calls.
     def __add__(self, other: "GaussianInteger | int") -> "GaussianInteger":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianInteger(self.re + o.re, self.im + o.im)
+        if isinstance(other, GaussianInteger):
+            return GaussianInteger(self.re + other.re, self.im + other.im)
+        if isinstance(other, int):
+            return GaussianInteger(self.re + other, self.im)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other: "GaussianInteger | int") -> "GaussianInteger":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianInteger(self.re - o.re, self.im - o.im)
+        if isinstance(other, GaussianInteger):
+            return GaussianInteger(self.re - other.re, self.im - other.im)
+        if isinstance(other, int):
+            return GaussianInteger(self.re - other, self.im)
+        return NotImplemented
 
-    def __rsub__(self, other: "GaussianInteger | int") -> "GaussianInteger":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+    def __rsub__(self, other: int) -> "GaussianInteger":
+        if isinstance(other, int):
+            return GaussianInteger(other - self.re, -self.im)
+        return NotImplemented
 
     def __mul__(self, other: "GaussianInteger | int") -> "GaussianInteger":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianInteger(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        if isinstance(other, GaussianInteger):
+            return GaussianInteger(
+                self.re * other.re - self.im * other.im,
+                self.re * other.im + self.im * other.re,
+            )
+        if isinstance(other, int):
+            return GaussianInteger(self.re * other, self.im * other)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -73,6 +99,10 @@ class GaussianInteger:
 
     def __str__(self) -> str:
         return format_gaussian(self)
+
+
+# the slots' own setters: the only writes, bypassing the refusing __setattr__
+_set_re, _set_im = GaussianInteger.re.__set__, GaussianInteger.im.__set__
 
 
 class GaussianDivMod(NamedTuple):

@@ -11,7 +11,8 @@ their ZeroOperandError and NotCoprimeError through unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import cache
+from typing import TYPE_CHECKING
 
 from .core import (
     DomainError,
@@ -22,6 +23,9 @@ from .core import (
     inverse_pair,
     sign,
 )
+
+if TYPE_CHECKING:
+    from .reports import QuadPairReport
 
 
 def shift_invariance(a: int, b: int, k: int) -> int:
@@ -76,40 +80,6 @@ def square_inverse(a: int, b: int) -> int:
     return form1
 
 
-@dataclass(frozen=True)
-class QuadPairReport:
-    """Cross-pair inverse identities for a coprime quadruple (a,b,c,d).
-
-    u = a*c + b*d, v = a*d - b*c, s = a*a + b*b, t = c*c + d*d.  The x
-    values are inverses of each other's y values: x[0], x[1] modulo u and
-    x[2], x[3] modulo v.  When gcd(u, v) = 1 the report also certifies the
-    inverses of s and t modulo u and v, plus the four exact integer
-    identities (s*y1 = v + u*z1 and friends) behind them.
-    """
-
-    a: int
-    b: int
-    c: int
-    d: int
-    u: int
-    v: int
-    s: int
-    t: int
-    x: tuple[int, int, int, int]
-    y: tuple[int, int, int, int]
-    z: tuple[int, int, int]
-    pair_inverse_ok: tuple[bool, bool, bool, bool]
-    sum_inverse_ok: tuple[bool, bool, bool, bool] | None
-    proof_identity_ok: tuple[bool, bool, bool, bool] | None
-
-    @property
-    def all_ok(self) -> bool:
-        flags = self.pair_inverse_ok + (self.sum_inverse_ok or ()) + (
-            self.proof_identity_ok or ()
-        )
-        return all(flags)
-
-
 def _cross_terms(
     a: int, b: int, c: int, d: int
 ) -> tuple[tuple[int, int, int, int], tuple[int, int, int, int], tuple[int, int, int]]:
@@ -134,6 +104,14 @@ def _cross_terms(
         c * (c - inv_dc) + d * inv_cd,
     )
     return x, y, z
+
+
+@cache
+def _report_type() -> type[QuadPairReport]:
+    # imported on the first report, so that importing this module loads no
+    # dataclasses; cached, as an import statement costs ~1.5 us per call
+    from .reports import QuadPairReport
+    return QuadPairReport
 
 
 def quad_pair_inverses(a: int, b: int, c: int, d: int) -> QuadPairReport:
@@ -184,7 +162,7 @@ def quad_pair_inverses(a: int, b: int, c: int, d: int) -> QuadPairReport:
             t * x4 == u + v * z3,
         )
 
-    return QuadPairReport(
+    return _report_type()(
         a=a,
         b=b,
         c=c,

@@ -23,7 +23,8 @@ and :func:`modrecip.core.inverse_pair` use it in place of the built-in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cache
+from typing import TYPE_CHECKING
 
 from .core import (
     InvariantError,
@@ -33,6 +34,9 @@ from .core import (
     inverse_pair,
     unit_inverse,
 )
+
+if TYPE_CHECKING:
+    from .reports import ReciprocityReport
 
 # Euclid needs about 1.44 * bits reduction steps in the Fibonacci worst
 # case; 3 * bits plus slack for the initial reduction is a safe ceiling.
@@ -50,18 +54,12 @@ _WINDOW_BITS = 120
 _HALF = 1 << (_WINDOW_BITS // 2 + 4)
 
 
-@dataclass(frozen=True)
-class ReciprocityReport:
-    """Both inverses and both sides of the identity for one pair."""
-
-    a: int
-    b: int
-    inv_a_mod_b: int
-    inv_b_mod_a: int
-    lhs: int  # a*inv_a_mod_b + b*inv_b_mod_a
-    rhs: int  # 1 + a*b
-    k: int  # multiplier with lhs = 1 + k*a*b
-    holds: bool
+@cache
+def _report_type() -> type[ReciprocityReport]:
+    # imported on the first report, so that importing this module loads no
+    # dataclasses; cached, as an import statement costs ~1.5 us per call
+    from .reports import ReciprocityReport
+    return ReciprocityReport
 
 
 def reciprocity_check(a: int, b: int) -> ReciprocityReport:
@@ -73,7 +71,7 @@ def reciprocity_check(a: int, b: int) -> ReciprocityReport:
     k, rem = divmod(lhs - 1, a * b)
     if rem:
         raise InvariantError("lhs - 1 must be a multiple of a*b")
-    return ReciprocityReport(
+    return _report_type()(
         a=a,
         b=b,
         inv_a_mod_b=inv_a,

@@ -12,7 +12,7 @@ import pytest
 from modrecip import bench as bench_mod
 from modrecip import cli, verify
 from modrecip.bench import BenchReport
-from modrecip.cli import MAX_OPERAND_BITS, main
+from modrecip.cli import MAX_OPERAND_BITS, build_parser, main
 from modrecip.core import (DomainError, NotCoprimeError, ZeroOperandError, classical_inverse, inverse,
                            mod_inverse)
 from modrecip.identities import sum_inverse_values
@@ -202,6 +202,30 @@ def test_repeated_double_dash_is_a_usage_error(capsys):
             main(argv)
         assert exc.value.code == 1
         assert "missing operand" in capsys.readouterr().err
+
+
+def _exit(capsys, call):
+    with pytest.raises(SystemExit) as exc:
+        call()
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+def test_usage_after_a_subcommand_lists_every_subcommand(capsys):
+    # main builds only the named subcommand's subparser; the usage line it
+    # prints for a top-level error still names all of them
+    usage = build_parser().format_usage()
+    assert all(name in usage for name in [*cli.COMMANDS, "verify", "bench"])
+    for argv in (["inv", "3", "7", "--bogus"], ["inv", "3", "--", "--"]):
+        code, out, err = _exit(capsys, lambda: main(argv))
+        assert (code, out) == (1, "") and err.startswith(usage), err
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["nosuch", "1"], [], ["inv", "-h"], ["verify", "-h"],
+                                  ["bench", "-h"], ["inv", "3", "7", "--bogus"],
+                                  ["gauss-inv", "1+i"], ["bench", "--bits", "x"]])
+def test_parser_output_matches_the_full_parser(argv, capsys):
+    assert _exit(capsys, lambda: main(argv)) == _exit(capsys, lambda: build_parser().parse_args(argv))
 
 
 def test_wide_hex_inv_prints_in_full(capsys):

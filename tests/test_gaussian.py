@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import pytest
 from hypothesis import assume, given
@@ -29,6 +30,40 @@ def test_norm_and_conjugate():
     assert G(1, 2).conjugate() == G(1, -2)
     assert G(3, 0).conjugate() == G(3, 0)
     assert G(0, -1).conjugate() == G(0, 1)
+
+
+def test_gaussian_integer_is_an_immutable_value():
+    z, again = G(1, 2), G(re=1, im=2)
+    assert z == again and z is not again and (z.re, z.im) == (1, 2)
+    assert hash(z) == hash(again) and len({z, again, G(2, 1)}) == 2
+    assert z != G(1, -2) and z != (1, 2) and (1, 2) != z and G(3, 0) != 3
+    assert repr(z) == "GaussianInteger(re=1, im=2)"
+    assert repr(G(-3, 0)) == "GaussianInteger(re=-3, im=0)"
+    for mutate in (lambda: setattr(z, "re", 5), lambda: setattr(z, "extra", 1),
+                   lambda: delattr(z, "im")):
+        with pytest.raises(AttributeError):
+            mutate()
+    assert (z.re, z.im) == (1, 2)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(z, protocol)) == z
+    with pytest.raises(TypeError):
+        G(1)
+
+
+@given(gaussians, coords)
+def test_int_operands_act_as_real_gaussians(z, n):
+    real = G(n, 0)
+    assert z + n == n + z == z + real
+    assert z - n == z - real and n - z == real - z
+    assert z * n == n * z == z * real
+    assert z * True == z and True - z == G(1, 0) - z  # bool is an int
+
+
+def test_other_operands_are_refused():
+    for other in (1.5, "x", (1, 2)):
+        for op in (lambda: G(1, 2) + other, lambda: other - G(1, 2), lambda: G(1, 2) * other):
+            with pytest.raises(TypeError):
+                op()
 
 
 def test_ring_arithmetic():

@@ -14,13 +14,16 @@ import modrecip
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Records the modules that importing the CLI and running one in-process
-# main(argv) add to a fresh interpreter.
+# main(argv) add to a fresh interpreter; a usage error's exit code counts too.
 _IMPORT_GRAPH = """
 import contextlib, io, json, sys
 before = set(sys.modules)
 from modrecip.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
-    code = main(sys.argv[1:])
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        code = main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
 print(json.dumps({"code": code, "added": sorted(set(sys.modules) - before)}))
 """
 
@@ -34,9 +37,9 @@ def _child(script: str, *argv: str) -> str:
     return proc.stdout
 
 
-def _added_modules(*argv: str) -> set[str]:
+def _added_modules(*argv: str, code: int = 0) -> set[str]:
     result = json.loads(_child(_IMPORT_GRAPH, *argv))
-    assert result["code"] == 0
+    assert result["code"] == code
     return set(result["added"])
 
 
@@ -82,6 +85,36 @@ def test_gauss_inv_imports_gaussian_only():
     assert "modrecip.gaussian" in added
     unwanted = _HEAVY | {"modrecip.identities"}
     assert not added & unwanted, sorted(added & unwanted)
+
+
+_WIDE = (1 << 2047) + 1  # odd, so coprime to _WIDE + 2: a pair past the pow route
+
+
+@pytest.mark.parametrize("argv, code, runs", [
+    (("reduce", "7", "1", "3"), 0, "modrecip.identities"),
+    (("reduce", "7", "1", "3", "--minus"), 0, "modrecip.identities"),
+    (("square-inv", "3", "2"), 0, "modrecip.identities"),
+    (("gauss-inv", "1+1i", "2+1i"), 0, "modrecip.gaussian"),
+    (("gauss-inv", "1+1i", "2+xi"), 1, "modrecip.gaussian"),
+    (("gauss-linear-inv", "3", "2"), 0, "modrecip.gaussian"),
+    (("inv", str(_WIDE), str(_WIDE + 2)), 0, "modrecip.recip"),
+], ids=["reduce", "reduce-minus", "square-inv", "gauss-inv", "gauss-inv-malformed",
+        "gauss-linear-inv", "inv-2048-bit"])
+def test_commands_without_a_report_load_no_dataclasses(argv, code, runs):
+    added = _added_modules(*argv, code=code)
+    assert runs in added
+    assert not added & {"dataclasses", "modrecip.reports"}, sorted(added)
+
+
+@pytest.mark.parametrize("argv", [
+    ("recip", "3", "5"),
+    ("quad", "3", "2", "1", "2"),
+    ("sums", "3", "2", "1", "2"),
+], ids=["recip", "quad", "sums"])
+def test_report_commands_load_the_reports(argv):
+    added = _added_modules(*argv)
+    assert "modrecip.reports" in added
+    assert not added & (_HEAVY | {"modrecip.gaussian"}), sorted(added)
 
 
 def test_exports_are_the_defining_modules_objects():
