@@ -9,18 +9,24 @@ Only :mod:`modrecip.core` is imported up front.  Each subcommand imports
 the modules it runs when it runs, so a one-shot process such as
 ``python -m modrecip inv 3 7`` loads neither the sweeps nor the bench, and
 only the subcommands that build a dataclass record (``recip``, ``quad``,
-``sums``, ``verify``, ``bench``) load :mod:`dataclasses`.  :func:`main`
-builds the subparser of the subcommand it runs and no other.
+``sums``, ``verify``, ``bench``) load :mod:`dataclasses`.  A compute call
+of flags and well-formed operands, the common case, is read straight from
+the command table and never imports :mod:`argparse`; everything else goes
+to the argparse parser, built with the subparser of the subcommand it runs
+and no other.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
-from typing import Callable, NamedTuple
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .core import (MAX_BITS, MAX_SHARDS, MIN_BITS, DomainError, NotCoprimeError,
                    ZeroOperandError, classical_inverse, inverse)
+
+if TYPE_CHECKING:
+    import argparse
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -34,11 +40,8 @@ EXIT_COUNTEREXAMPLE = 3
 MAX_OPERAND_BITS = 1 << 16
 
 
-class _Parser(argparse.ArgumentParser):
-    # usage problems are exit code 1, not argparse's default 2
-    def error(self, message: str):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+class _Refused(ValueError):
+    """An operand that does not parse or exceeds the cap; the message says which."""
 
 
 def parse_integer(text: str) -> int:
@@ -57,10 +60,10 @@ def _capped(text: str, parse: Callable, kind: str, parts: Callable):
         try:
             value = parse(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid {kind} {text!r}") from None
+            raise _Refused(f"invalid {kind} {text!r}") from None
         if all(n.bit_length() <= MAX_OPERAND_BITS for n in parts(value)):
             return value
-    raise argparse.ArgumentTypeError(f"operand exceeds the {MAX_OPERAND_BITS}-bit cap")
+    raise _Refused(f"operand exceeds the {MAX_OPERAND_BITS}-bit cap")
 
 
 def _int_arg(text: str) -> int:
@@ -254,6 +257,40 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+def _plain_call(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives a compute call of flags and plain operands, else None.
+
+    Plain means each flag once, at most one '--' and not as the last token
+    (argparse refuses a last '--' after a flag), no other token before it
+    that starts with '-' but an ASCII negative decimal, which argparse also
+    reads as an operand, and operands that parse.  Anything else, help and
+    usage errors included, is left to argparse.
+    """
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None or argv[-1] == "--":
+        return None
+    flags = {"--json": "json"} | ({command.flag[0]: command.flag[0][2:]} if command.flag else {})
+    values = dict.fromkeys(flags.values(), False)
+    texts = []
+    rest = iter(argv[1:])
+    for arg in rest:
+        if arg == "--":
+            texts += rest
+        elif arg in flags and not values[flags[arg]]:
+            values[flags[arg]] = True
+        elif arg[:1] != "-" or arg[1:].isascii() and arg[1:].isdigit():
+            texts.append(arg)
+        else:
+            return None
+    if len(texts) != len(command.operands):
+        return None
+    try:
+        values |= {name: command.operand_type(text) for name, text in zip(command.operands, texts)}
+    except _Refused:
+        return None
+    return SimpleNamespace(command=argv[0], func=_run_command, **values)
+
+
 def build_parser(argv=None) -> argparse.ArgumentParser:
     """The CLI parser; when argv[0] names a subcommand, it holds that subparser alone.
 
@@ -261,6 +298,24 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     since argparse hands everything after the subcommand to its subparser.
     The usage line still lists every subcommand.
     """
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        # usage problems are exit code 1, not argparse's default 2
+        def error(self, message: str):
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+    def typed(convert: Callable) -> Callable:
+        # argparse prints an ArgumentTypeError's own message
+        def operand(text: str):
+            try:
+                return convert(text)
+            except _Refused as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+        return operand
+
+    int_arg = typed(_int_arg)
     names = [*COMMANDS, "verify", "bench"]
     only = argv[0] if argv and argv[0] in names else None
 
@@ -276,18 +331,18 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
             continue
         p = sub.add_parser(name, parents=[common], help=command.help)
         for operand in command.operands:
-            p.add_argument(operand, type=command.operand_type)
+            p.add_argument(operand, type=typed(command.operand_type))
         if command.flag:
             p.add_argument(command.flag[0], action="store_true", help=command.flag[1])
         p.set_defaults(func=_run_command)
 
     if only in (None, "verify"):
         p = sub.add_parser("verify", parents=[common], help="run every verification sweep")
-        p.add_argument("--bound", type=_int_arg, default=None,
+        p.add_argument("--bound", type=int_arg, default=None,
                        help="reciprocity/oracle operand bound")
-        p.add_argument("--k-bound", dest="k_bound", type=_int_arg, default=None)
-        p.add_argument("--gaussian-bound", dest="gaussian_bound", type=_int_arg, default=None)
-        p.add_argument("--shards", type=_int_arg, default=None,
+        p.add_argument("--k-bound", dest="k_bound", type=int_arg, default=None)
+        p.add_argument("--gaussian-bound", dest="gaussian_bound", type=int_arg, default=None)
+        p.add_argument("--shards", type=int_arg, default=None,
                        help=f"worker processes for the sweeps (1 to {MAX_SHARDS})")
         p.add_argument("--config", default=None, metavar="FILE",
                        help="key=value file overriding any sweep bound")
@@ -298,10 +353,10 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     if only in (None, "bench"):
         p = sub.add_parser("bench", parents=[common], help="time reciprocity-route inversion "
                            "against extended gcd and the built-in pow")
-        p.add_argument("--bits", type=_int_arg, required=True,
+        p.add_argument("--bits", type=int_arg, required=True,
                        help=f"operand width in bits ({MIN_BITS} to {MAX_BITS})")
-        p.add_argument("--iters", type=_int_arg, default=1000, help="number of trials")
-        p.add_argument("--seed", type=_int_arg, metavar="U64", default=None,
+        p.add_argument("--iters", type=int_arg, default=1000, help="number of trials")
+        p.add_argument("--seed", type=int_arg, metavar="U64", default=None,
                        help="seed for the random operands")
         p.set_defaults(func=cmd_bench)
 
@@ -313,12 +368,14 @@ def main(argv=None) -> int:
     sys.set_int_max_str_digits(0)
     try:
         argv = sys.argv[1:] if argv is None else list(argv)
-        parser = build_parser(argv)
-        args = parser.parse_args(argv)
-        # argparse takes a second "--" as an operand and hands it over as []
-        empty = [name for name, value in vars(args).items() if isinstance(value, list)]
-        if empty:
-            parser.error(f"missing operand(s): {', '.join(empty)}")
+        args = _plain_call(argv)
+        if args is None:
+            parser = build_parser(argv)
+            args = parser.parse_args(argv)
+            # argparse takes a second "--" as an operand and hands it over as []
+            empty = [name for name, value in vars(args).items() if isinstance(value, list)]
+            if empty:
+                parser.error(f"missing operand(s): {', '.join(empty)}")
         try:
             return args.func(args)
         except (ZeroOperandError, NotCoprimeError, DomainError) as exc:

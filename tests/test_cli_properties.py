@@ -4,11 +4,13 @@ Differential: the --json output of every compute subcommand equals the
 library call (or names the library's failure).  Robustness: no argv given
 to a compute subcommand ends in anything but exit code 0-3.  ``verify`` and
 ``bench`` stay out of the random-argv test: random bounds make them run
-without limit.
+without limit.  Equivalence: a call that ``main`` reads without argparse
+gets the namespace argparse would give it.
 """
 
 import contextlib
 import io
+import itertools
 import json
 from dataclasses import asdict
 
@@ -32,7 +34,8 @@ from modrecip import (
     square_inverse,
     sum_of_squares_inverses,
 )
-from modrecip.cli import COMMANDS, main
+from modrecip import cli
+from modrecip.cli import COMMANDS, build_parser, main
 
 small = st.integers(-40, 40)
 wide = st.integers(-(1 << 1024), 1 << 1024)
@@ -134,3 +137,36 @@ tokens = st.one_of(
 def test_no_argv_ends_in_a_traceback(sub, rest):
     code, _, _ = _call([sub, *rest])
     assert code in (0, 1, 2, 3)
+
+
+def _argparse_namespace(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser(argv).parse_args(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+def test_plain_calls_parse_as_argparse_does():
+    # every order of up to five operands, flags and '--' over two small alphabets
+    accepted = 0
+    for sub, alphabet in (("inv", ["3", "-7", "0x1f", "-0x1f", "--json", "--classical", "--", "-h"]),
+                          ("gauss-inv", ["1+1i", "-i", "", "-", "--json", "--"])):
+        for size in range(6):
+            for rest in itertools.product(alphabet, repeat=size):
+                argv = [sub, *rest]
+                plain = cli._plain_call(argv)
+                if plain is not None:
+                    accepted += 1
+                    assert vars(plain) == _argparse_namespace(argv), argv
+    assert accepted > 300  # the grid reaches the plain path, not only argparse
+
+
+def test_benchmark_form_is_a_plain_call():
+    # flags, then '--', then operands: how scripts call the CLI
+    plain = cli._plain_call(["reduce", "--minus", "--json", "--", "-7", "0x1", "3"])
+    assert vars(plain) == vars(build_parser(["reduce"]).parse_args(
+        ["reduce", "--minus", "--json", "--", "-7", "0x1", "3"]))
+    for argv in (["inv", "3", "7", "--json", "--"], ["inv", "--", "3", "--", "7"], ["inv", "-h"],
+                 ["inv", "3", "7", "--json", "--json"], ["inv", "3", "-0x7"], ["verify"]):
+        assert cli._plain_call(argv) is None, argv

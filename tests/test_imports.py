@@ -55,7 +55,7 @@ def test_inverse_commands_import_only_core(argv):
     added = _added_modules(*argv)
     assert {"modrecip.cli", "modrecip.core"} <= added
     unwanted = _HEAVY | {"modrecip.gaussian", "modrecip.identities", "modrecip.recip",
-                         "dataclasses"}
+                         "dataclasses", "argparse"}
     assert not added & unwanted, sorted(added & unwanted)
 
 
@@ -76,7 +76,7 @@ def test_module_run_of_inv_loads_core_alone():
     loaded = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
     assert "modrecip.core" in loaded
     unwanted = _HEAVY | {"modrecip.gaussian", "modrecip.identities", "modrecip.recip",
-                         "dataclasses"}
+                         "dataclasses", "argparse"}
     assert not loaded & unwanted, sorted(loaded & unwanted)
 
 
@@ -104,6 +104,7 @@ def test_commands_without_a_report_load_no_dataclasses(argv, code, runs):
     added = _added_modules(*argv, code=code)
     assert runs in added
     assert not added & {"dataclasses", "modrecip.reports"}, sorted(added)
+    assert ("argparse" in added) == (code != 0)  # only the refused operand needs the parser
 
 
 @pytest.mark.parametrize("argv", [
