@@ -260,7 +260,7 @@ def cmd_bench(args) -> int:
 def _plain_call(argv: list[str]) -> SimpleNamespace | None:
     """The namespace argparse gives a compute call of flags and plain operands, else None.
 
-    Plain means each flag once, at most one '--' and not as the last token
+    Plain means whole flag names, at most one '--' and not as the last token
     (argparse refuses a last '--' after a flag), no other token before it
     that starts with '-' but an ASCII negative decimal, which argparse also
     reads as an operand, and operands that parse.  Anything else, help and
@@ -275,8 +275,8 @@ def _plain_call(argv: list[str]) -> SimpleNamespace | None:
     rest = iter(argv[1:])
     for arg in rest:
         if arg == "--":
-            texts += rest
-        elif arg in flags and not values[flags[arg]]:
+            texts += rest  # everything after it is an operand
+        elif arg in flags:
             values[flags[arg]] = True
         elif arg[:1] != "-" or arg[1:].isascii() and arg[1:].isdigit():
             texts.append(arg)

@@ -168,5 +168,5 @@ def test_benchmark_form_is_a_plain_call():
     assert vars(plain) == vars(build_parser(["reduce"]).parse_args(
         ["reduce", "--minus", "--json", "--", "-7", "0x1", "3"]))
     for argv in (["inv", "3", "7", "--json", "--"], ["inv", "--", "3", "--", "7"], ["inv", "-h"],
-                 ["inv", "3", "7", "--json", "--json"], ["inv", "3", "-0x7"], ["verify"]):
+                 ["inv", "3", "7", "--js"], ["inv", "3", "-0x7"], ["verify"]):
         assert cli._plain_call(argv) is None, argv
