@@ -11,9 +11,8 @@ the modules it runs when it runs, so a one-shot process such as
 only the subcommands that build a dataclass record (``recip``, ``quad``,
 ``sums``, ``verify``, ``bench``) load :mod:`dataclasses`.  A compute call
 of flags and well-formed operands, the common case, is read straight from
-the command table and never imports :mod:`argparse`; everything else goes
-to the argparse parser, built with the subparser of the subcommand it runs
-and no other.
+the command table and never imports :mod:`argparse`; everything else, help
+and usage errors included, goes to the argparse parser.
 """
 
 from __future__ import annotations
@@ -291,13 +290,8 @@ def _plain_call(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(command=argv[0], func=_run_command, **values)
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The CLI parser; when argv[0] names a subcommand, it holds that subparser alone.
-
-    Parsing argv gives the same namespace, output and exit code either way,
-    since argparse hands everything after the subcommand to its subparser.
-    The usage line still lists every subcommand.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, with one subparser per subcommand."""
     import argparse
 
     class _Parser(argparse.ArgumentParser):
@@ -316,19 +310,14 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
         return operand
 
     int_arg = typed(_int_arg)
-    names = [*COMMANDS, "verify", "bench"]
-    only = argv[0] if argv and argv[0] in names else None
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit one JSON object instead of text")
 
     parser = _Parser(prog="modrecip", description="Signed modular inverses and identities")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser,
-                                metavar="{" + ",".join(names) + "}" if only else None)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     for name, command in COMMANDS.items():
-        if only not in (None, name):
-            continue
         p = sub.add_parser(name, parents=[common], help=command.help)
         for operand in command.operands:
             p.add_argument(operand, type=typed(command.operand_type))
@@ -336,29 +325,27 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
             p.add_argument(command.flag[0], action="store_true", help=command.flag[1])
         p.set_defaults(func=_run_command)
 
-    if only in (None, "verify"):
-        p = sub.add_parser("verify", parents=[common], help="run every verification sweep")
-        p.add_argument("--bound", type=int_arg, default=None,
-                       help="reciprocity/oracle operand bound")
-        p.add_argument("--k-bound", dest="k_bound", type=int_arg, default=None)
-        p.add_argument("--gaussian-bound", dest="gaussian_bound", type=int_arg, default=None)
-        p.add_argument("--shards", type=int_arg, default=None,
-                       help=f"worker processes for the sweeps (1 to {MAX_SHARDS})")
-        p.add_argument("--config", default=None, metavar="FILE",
-                       help="key=value file overriding any sweep bound")
-        p.add_argument("--use-classical-unit-inverse", action="store_true",
-                       help="substitute the classical 0 for unit moduli and check the designed breaks")
-        p.set_defaults(func=cmd_verify)
+    p = sub.add_parser("verify", parents=[common], help="run every verification sweep")
+    p.add_argument("--bound", type=int_arg, default=None,
+                   help="reciprocity/oracle operand bound")
+    p.add_argument("--k-bound", dest="k_bound", type=int_arg, default=None)
+    p.add_argument("--gaussian-bound", dest="gaussian_bound", type=int_arg, default=None)
+    p.add_argument("--shards", type=int_arg, default=None,
+                   help=f"worker processes for the sweeps (1 to {MAX_SHARDS})")
+    p.add_argument("--config", default=None, metavar="FILE",
+                   help="key=value file overriding any sweep bound")
+    p.add_argument("--use-classical-unit-inverse", action="store_true",
+                   help="substitute the classical 0 for unit moduli and check the designed breaks")
+    p.set_defaults(func=cmd_verify)
 
-    if only in (None, "bench"):
-        p = sub.add_parser("bench", parents=[common], help="time reciprocity-route inversion "
-                           "against extended gcd and the built-in pow")
-        p.add_argument("--bits", type=int_arg, required=True,
-                       help=f"operand width in bits ({MIN_BITS} to {MAX_BITS})")
-        p.add_argument("--iters", type=int_arg, default=1000, help="number of trials")
-        p.add_argument("--seed", type=int_arg, metavar="U64", default=None,
-                       help="seed for the random operands")
-        p.set_defaults(func=cmd_bench)
+    p = sub.add_parser("bench", parents=[common], help="time reciprocity-route inversion "
+                       "against extended gcd and the built-in pow")
+    p.add_argument("--bits", type=int_arg, required=True,
+                   help=f"operand width in bits ({MIN_BITS} to {MAX_BITS})")
+    p.add_argument("--iters", type=int_arg, default=1000, help="number of trials")
+    p.add_argument("--seed", type=int_arg, metavar="U64", default=None,
+                   help="seed for the random operands")
+    p.set_defaults(func=cmd_bench)
 
     return parser
 
@@ -370,7 +357,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:] if argv is None else list(argv)
         args = _plain_call(argv)
         if args is None:
-            parser = build_parser(argv)
+            parser = build_parser()
             args = parser.parse_args(argv)
             # argparse takes a second "--" as an operand and hands it over as []
             empty = [name for name, value in vars(args).items() if isinstance(value, list)]

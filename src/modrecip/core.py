@@ -11,11 +11,12 @@ raises ZeroOperandError or NotCoprimeError.  For |m| > 1 it takes one of
 two routes by operand width, both of whose results follow the sign of m.
 Up to a crossover of 1664 bits (_POW_MAX_BITS, measured) it is the
 built-in ``pow(a, -1, m)``, extended Euclid in C.  Above it, where Euclid's
-one big division per quotient dominates, it is the Lehmer-batched
-reciprocity route :func:`modrecip.recip.inverse_via_reciprocity`, and
-``pow`` stays the independent oracle the tests hold it to.
-:func:`inverse_pair` gets both inverses of a coprime pair from one
-inversion and the reciprocity identity, which also certifies them.
+one big division per quotient dominates, it is the first of
+:func:`inverse_pair`, whose route there is the Lehmer-batched reciprocity
+climb :func:`modrecip.recip.reciprocal_pair`, and ``pow`` stays the
+independent oracle the tests hold it to.  :func:`inverse_pair` gets both
+inverses of a coprime pair from one inversion and the reciprocity
+identity, which also certifies them.
 :func:`mod_inverse` is the public-edge form that returns those two failures
 as an :class:`InverseOutcome` instead.  That is a plain immutable value class
 with slots, not a dataclass, so ``modrecip inv`` never imports
@@ -195,14 +196,14 @@ def inverse(a: int, m: int) -> int:
     signed closed form is returned.  Raises ZeroOperandError when
     a*m = 0 and NotCoprimeError when gcd(a, m) != 1.  The value is
     ``pow(a, -1, m)`` while the narrower operand has at most _POW_MAX_BITS
-    bits, and :func:`modrecip.recip.inverse_via_reciprocity` above that.
+    bits, and the first of :func:`inverse_pair`, which runs
+    :func:`modrecip.recip.reciprocal_pair`, above that.
     """
+    if _batched(a, m):
+        return inverse_pair(a, m)[0]
     _require_coprime(a, m)
-    if not _batched(a, m):
-        # pow gives 0 only for a unit modulus, which takes the signed closed form
-        return pow(a, -1, m) or unit_inverse(a, m)
-    from .recip import inverse_via_reciprocity  # recip imports this module
-    return inverse_via_reciprocity(a, m).expect()
+    # pow gives 0 only for a unit modulus, which takes the signed closed form
+    return pow(a, -1, m) or unit_inverse(a, m)
 
 
 def inverse_pair(a: int, b: int) -> tuple[int, int]:
@@ -219,7 +220,7 @@ def inverse_pair(a: int, b: int) -> tuple[int, int]:
     """
     if _batched(a, b):
         _require_coprime(a, b)
-        from .recip import reciprocal_pair
+        from .recip import reciprocal_pair  # recip imports this module
         return reciprocal_pair(a, b)
     x = inverse(a, b)
     y, rem = divmod(1 + a * b - a * x, b)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from typing import Callable, Iterable, NamedTuple
 
@@ -88,9 +88,9 @@ class SweepConfig:
                 raise DomainError(f"{name} must be at least 2")
 
 
-def load_sweep_config(path: str, base: SweepConfig | None = None) -> SweepConfig:
-    """Read key=value overrides (one per line, # comments) into a config."""
-    values = {f.name: getattr(base or SweepConfig(), f.name) for f in fields(SweepConfig)}
+def load_sweep_config(path: str) -> SweepConfig:
+    """Read key=value overrides (one per line, # comments) of the default config."""
+    values = asdict(SweepConfig())
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()

@@ -212,8 +212,8 @@ def _exit(capsys, call):
 
 
 def test_usage_after_a_subcommand_lists_every_subcommand(capsys):
-    # main builds only the named subcommand's subparser; the usage line it
-    # prints for a top-level error still names all of them
+    # a usage error after a subcommand prints the top-level usage line, which
+    # names every subcommand
     usage = build_parser().format_usage()
     assert all(name in usage for name in [*cli.COMMANDS, "verify", "bench"])
     for argv in (["inv", "3", "7", "--bogus"], ["inv", "3", "--", "--"]):

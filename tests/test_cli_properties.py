@@ -142,7 +142,7 @@ def test_no_argv_ends_in_a_traceback(sub, rest):
 def _argparse_namespace(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            return vars(build_parser(argv).parse_args(argv))
+            return vars(build_parser().parse_args(argv))
         except SystemExit as exc:
             return exc.code
 
@@ -165,7 +165,7 @@ def test_plain_calls_parse_as_argparse_does():
 def test_benchmark_form_is_a_plain_call():
     # flags, then '--', then operands: how scripts call the CLI
     plain = cli._plain_call(["reduce", "--minus", "--json", "--", "-7", "0x1", "3"])
-    assert vars(plain) == vars(build_parser(["reduce"]).parse_args(
+    assert vars(plain) == vars(build_parser().parse_args(
         ["reduce", "--minus", "--json", "--", "-7", "0x1", "3"]))
     for argv in (["inv", "3", "7", "--json", "--"], ["inv", "--", "3", "--", "7"], ["inv", "-h"],
                  ["inv", "3", "7", "--js"], ["inv", "3", "-0x7"], ["verify"]):

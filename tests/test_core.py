@@ -340,13 +340,13 @@ def test_batched_route_at_the_operand_cap():
 
 def test_inverse_is_pow_at_or_below_the_crossover(monkeypatch):
     calls = []
-    route = recip.inverse_via_reciprocity
+    route = recip.reciprocal_pair
 
     def counted(a, m):
         calls.append((a, m))
         return route(a, m)
 
-    monkeypatch.setattr(recip, "inverse_via_reciprocity", counted)
+    monkeypatch.setattr(recip, "reciprocal_pair", counted)
     rng = random.Random(8)
 
     def coprime_pair(bits_a, bits_m):

@@ -107,6 +107,21 @@ def test_commands_without_a_report_load_no_dataclasses(argv, code, runs):
     assert ("argparse" in added) == (code != 0)  # only the refused operand needs the parser
 
 
+@pytest.mark.parametrize("argv, code", [
+    (("-h",), 0),
+    (("inv", "3", "7", "--bogus"), 1),
+    (("inv", "12z", "7"), 1),
+    (("verify", "-h"), 0),
+    (("bench", "--bits", "1"), 1),
+], ids=["help", "unknown-flag", "malformed-operand", "verify-help", "bench-out-of-range"])
+def test_argparse_calls_load_neither_sweeps_nor_bench(argv, code):
+    # the parser builds the verify and bench subparsers, whose help prints
+    # core's bounds, and must not import those modules to do it
+    added = _added_modules(*argv, code=code)
+    assert "argparse" in added
+    assert not added & (_HEAVY | {"dataclasses"}), sorted(added)
+
+
 @pytest.mark.parametrize("argv", [
     ("recip", "3", "5"),
     ("quad", "3", "2", "1", "2"),
