@@ -54,7 +54,7 @@ class InvariantError(ArithmeticError):
 
 
 class InverseFailure(Enum):
-    """Why an inverse is undefined.  Values are the CLI reason tokens."""
+    """Why an inverse is undefined.  Values match the CLI reason tokens, named after the errors."""
 
     ZERO_OPERAND = "ZeroOperand"
     NOT_COPRIME = "NotCoprime"

@@ -6,13 +6,17 @@ be swept against :func:`modrecip.core.inverse` exhaustively.  Each
 starts from inverses taken with :func:`modrecip.core.inverse` (or, for
 both inverses of a pair, :func:`modrecip.core.inverse_pair`) and lets
 their ZeroOperandError and NotCoprimeError through unchanged.
+
+:func:`quad_pair_inverses` takes its report class from the package's lazy
+exports, ``modrecip.QuadPairReport``, so importing this module loads no :mod:`dataclasses`.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cache
 from typing import TYPE_CHECKING
+
+import modrecip
 
 from .core import (
     DomainError,
@@ -106,14 +110,6 @@ def _cross_terms(
     return x, y, z
 
 
-@cache
-def _report_type() -> type[QuadPairReport]:
-    # imported on the first report, so that importing this module loads no
-    # dataclasses; cached, as an import statement costs ~1.5 us per call
-    from .reports import QuadPairReport
-    return QuadPairReport
-
-
 def quad_pair_inverses(a: int, b: int, c: int, d: int) -> QuadPairReport:
     """Build and verify the full cross-pair report for one quadruple.
 
@@ -162,7 +158,7 @@ def quad_pair_inverses(a: int, b: int, c: int, d: int) -> QuadPairReport:
             t * x4 == u + v * z3,
         )
 
-    return _report_type()(
+    return modrecip.QuadPairReport(
         a=a,
         b=b,
         c=c,

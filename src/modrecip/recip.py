@@ -19,12 +19,16 @@ them: two multiplications and no division.  The route is quadratic in the
 operand width, with a constant small enough that :func:`modrecip.core.inverse`
 and :func:`modrecip.core.inverse_pair` use it in place of the built-in
 ``pow`` above about 1,700 bits.
+
+:func:`reciprocity_check` takes its report class from the package's lazy
+exports, ``modrecip.ReciprocityReport``, so importing this module loads no :mod:`dataclasses`.
 """
 
 from __future__ import annotations
 
-from functools import cache
 from typing import TYPE_CHECKING
+
+import modrecip
 
 from .core import (
     InvariantError,
@@ -54,14 +58,6 @@ _WINDOW_BITS = 120
 _HALF = 1 << (_WINDOW_BITS // 2 + 4)
 
 
-@cache
-def _report_type() -> type[ReciprocityReport]:
-    # imported on the first report, so that importing this module loads no
-    # dataclasses; cached, as an import statement costs ~1.5 us per call
-    from .reports import ReciprocityReport
-    return ReciprocityReport
-
-
 def reciprocity_check(a: int, b: int) -> ReciprocityReport:
     """Recompute both inverses and report whether lhs = 1 + a*b exactly."""
     inv_a = inverse(a, b)
@@ -71,7 +67,7 @@ def reciprocity_check(a: int, b: int) -> ReciprocityReport:
     k, rem = divmod(lhs - 1, a * b)
     if rem:
         raise InvariantError("lhs - 1 must be a multiple of a*b")
-    return _report_type()(
+    return modrecip.ReciprocityReport(
         a=a,
         b=b,
         inv_a_mod_b=inv_a,

@@ -2,9 +2,12 @@
 
 They are frozen dataclasses, so ``dataclasses.asdict`` gives their
 ``--json`` objects.  They live apart from the functions that build them,
-which import this module when they run: a process that never builds a
-report, such as ``modrecip reduce`` or ``modrecip square-inv``, never
-imports :mod:`dataclasses` and the ``inspect`` chain behind it.
+which name them as ``modrecip.ReciprocityReport`` and
+``modrecip.QuadPairReport``: the package's lazy exports load this module on
+the first report and keep the class in the package namespace.  So a process
+that never builds a report, such as ``modrecip reduce`` or ``modrecip
+square-inv``, never imports :mod:`dataclasses` and the ``inspect`` chain
+behind it.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from modrecip import bench as bench_mod
-from modrecip import cli, verify
+from modrecip import cli, recip, verify
 from modrecip.bench import BenchReport
 from modrecip.cli import MAX_OPERAND_BITS, build_parser, main
 from modrecip.core import (DomainError, NotCoprimeError, ZeroOperandError, classical_inverse, inverse,
@@ -61,6 +61,24 @@ def test_inv_hex_input(capsys):
     assert run(capsys, "inv", "7", "+22") == (0, "19\n", "")
 
 
+@pytest.mark.parametrize("text, want", [
+    ("0x-1", None), ("0x+5", None), ("0x 1f", None), ("-0x-1", None),
+    ("-0x1f", -31), ("+0X1F", 31), (" 0x1f ", 31), ("0x1_f", 31), ("0x_1f", 31),
+])
+def test_hex_operand_grammar(text, want, capsys):
+    # a sign goes before the 0x prefix; after it int() refuses a sign or space,
+    # and takes an underscore as in a Python literal
+    argv = ["inv", "--json", "--", text, "1000003"]
+    if want is None:  # a refused operand reaches argparse, which exits
+        outcome = code, out, err = _exit(capsys, lambda: main(argv))
+        assert (code, out) == (1, "") and f"invalid integer {text!r}" in err
+    else:
+        outcome = code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and json.loads(out)["a"] == want
+    proc = _module_process(argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == outcome
+
+
 def test_inv_undefined_exit_codes(capsys):
     code, out, _ = run(capsys, "inv", "2", "4", "--json")
     assert code == 2
@@ -93,7 +111,31 @@ def test_inv_classical_value_matches_classical_inverse():
                 cli.COMMANDS["inv"].compute(a, m, True)
             continue
         obj, text = cli.COMMANDS["inv"].compute(a, m, True)
-        assert obj["classical"] == want and text == f"{obj['inverse']} (classical: {want})"
+        assert obj["classical"] == want and text() == f"{obj['inverse']} (classical: {want})"
+
+
+def _no_text(*_):
+    raise AssertionError("a --json call rendered its text")
+
+
+class _Unprintable(int):
+    """An int whose decimal text is never rendered without failing."""
+
+    __str__ = __format__ = _no_text
+
+
+def _unprintable_inverse(a, m):
+    return _Unprintable(inverse(a, m))
+
+
+@pytest.mark.parametrize("argv", [("inv", "3", "7", "--classical"), ("recip", "3", "5"),
+                                  ("quad", "3", "2", "1", "2"), ("sums", "3", "2", "1", "2")])
+def test_json_calls_render_no_text(argv, capsys, monkeypatch):
+    want = run(capsys, *argv, "--json")
+    monkeypatch.setattr(cli, "inverse", _unprintable_inverse)
+    monkeypatch.setattr(recip, "inverse", _unprintable_inverse)
+    monkeypatch.setattr(cli, "_quad_text", _no_text)
+    assert run(capsys, *argv, "--json") == want
 
 
 def test_recip_text(capsys):
@@ -292,13 +334,17 @@ def test_verify_shard_cap_exit_1(capsys):
     assert code == 1 and out == "" and "shard_count" in err
 
 
-def _verify_process(shards: str) -> dict:
+def _module_process(argv: list[str]) -> subprocess.CompletedProcess:
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    argv = [sys.executable, "-m", "modrecip", "verify", "--shards", shards,
-            "--bound", "4", "--gaussian-bound", "2", "--json"]
-    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=300)
+    return subprocess.run([sys.executable, "-m", "modrecip", *argv], capture_output=True,
+                          text=True, env=env, timeout=300)
+
+
+def _verify_process(shards: str) -> dict:
+    proc = _module_process(["verify", "--shards", shards, "--bound", "4", "--gaussian-bound", "2",
+                            "--json"])
     assert proc.returncode == 0, proc.stderr
     return {s["name"]: s["cases"] for s in json.loads(proc.stdout)["suites"]}
 
