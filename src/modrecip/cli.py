@@ -22,7 +22,7 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .core import (MAX_BITS, MAX_SHARDS, MIN_BITS, DomainError, NotCoprimeError,
-                   ZeroOperandError, classical_inverse, inverse)
+                   ZeroOperandError, inverse)
 
 if TYPE_CHECKING:
     import argparse
@@ -76,15 +76,14 @@ def _emit_json(obj) -> None:
 
 def _inv(a, m, classical):
     value = inverse(a, m)
-    # the classical value is the same residue modulo |m|, and 0 for a unit modulus
-    cls = value % abs(m) if abs(m) > 1 else 0
+    cls = value % abs(m)  # the classical value: the same residue, 0 for a unit modulus
     method = "unit-closed-form" if abs(m) == 1 else "extended-gcd"
     text = f"{value} (classical: {cls})" if classical else str(value)
     return {"a": a, "m": m, "inverse": value, "classical": cls, "method": method}, text
 
 
 def _classical_inv(a, m):
-    value = classical_inverse(a, m).expect()
+    value = inverse(a, m) % abs(m)  # the classical value, as in _inv
     return {"a": a, "m": m, "classical": value}, str(value)
 
 

@@ -17,18 +17,20 @@ climb :func:`modrecip.recip.reciprocal_pair`, and ``pow`` stays the
 independent oracle the tests hold it to.  :func:`inverse_pair` gets both
 inverses of a coprime pair from one inversion and the reciprocity
 identity, which also certifies them.
-:func:`mod_inverse` is the public-edge form that returns those two failures
-as an :class:`InverseOutcome` instead.  That is a plain immutable value class
-with slots, not a dataclass, so ``modrecip inv`` never imports
-:mod:`dataclasses` and the ``inspect`` chain behind it.  The pure-Python
-:func:`extended_gcd` stays as the independent Bezout-certificate oracle the
-verification sweeps check it against.
+Every route raises.  Outcomes are built only at the public edge:
+:func:`mod_inverse` and the other outcome routes run their route through one
+adapter, which returns those two failures as an :class:`InverseOutcome`, a
+plain immutable value class with slots, not a dataclass, so ``modrecip inv``
+never imports :mod:`dataclasses` and the ``inspect`` chain behind it.  The
+pure-Python :func:`extended_gcd` stays as the independent Bezout-certificate
+oracle the verification sweeps check it against.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
+from typing import Callable
 
 
 # Bounds the CLI parser prints in its help, kept here so that building the
@@ -231,24 +233,39 @@ def inverse_pair(a: int, b: int) -> tuple[int, int]:
     return x, y
 
 
+def _outcome(route: Callable[[int, int], int], a: int, m: int) -> InverseOutcome:
+    """Run a raising route: its value, or its failure, as an InverseOutcome.
+
+    The one adapter that builds outcomes; an InvariantError passes through it.
+    """
+    try:
+        return InverseOutcome(result=route(a, m))
+    except (ZeroOperandError, NotCoprimeError) as exc:
+        return InverseOutcome(failure=next(f for f, e in _FAILURE_EXC.items() if isinstance(exc, e)))
+
+
 def mod_inverse(a: int, m: int) -> InverseOutcome:
     """:func:`inverse` with its two failures returned as an outcome, not raised."""
-    try:
-        return InverseOutcome(result=inverse(a, m))
-    except ZeroOperandError:
-        return InverseOutcome(failure=InverseFailure.ZERO_OPERAND)
-    except NotCoprimeError:
-        return InverseOutcome(failure=InverseFailure.NOT_COPRIME)
+    return _outcome(inverse, a, m)
 
 
 def classical_inverse(a: int, m: int) -> InverseOutcome:
     """Conventional inverse: canonical residue in [0, |m|-1], 0 when |m| = 1.
 
-    Negative moduli are normalized to the residue system of |m|.
+    It is the windowed inverse reduced modulo |m|, which normalizes negative
+    moduli to the residue system of |m|.
     """
-    if abs(m) == 1 and a != 0:
-        return InverseOutcome(result=0)
-    return mod_inverse(a, abs(m))
+    return _outcome(lambda a, m: inverse(a, m) % abs(m), a, m)
+
+
+def _search(a: int, m: int) -> int:
+    _require_coprime(a, m)
+    one = 1 % m
+    window = range(1, m) if m > 0 else range(m + 1, 0)
+    for x in window:
+        if a * x % m == one:
+            return x
+    raise InvariantError("coprime inverse must exist in the window")
 
 
 def brute_force_inverse(a: int, m: int) -> InverseOutcome:
@@ -258,13 +275,4 @@ def brute_force_inverse(a: int, m: int) -> InverseOutcome:
     """
     if abs(m) <= 1:
         raise DomainError("brute_force_inverse needs |m| > 1")
-    if a == 0:
-        return InverseOutcome(failure=InverseFailure.ZERO_OPERAND)
-    if math.gcd(a, m) != 1:
-        return InverseOutcome(failure=InverseFailure.NOT_COPRIME)
-    one = 1 % m
-    window = range(1, m) if m > 0 else range(m + 1, 0)
-    for x in window:
-        if a * x % m == one:
-            return InverseOutcome(result=x)
-    raise AssertionError("coprime inverse must exist in the window")
+    return _outcome(_search, a, m)

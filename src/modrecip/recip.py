@@ -32,8 +32,10 @@ import modrecip
 
 from .core import (
     InvariantError,
-    InverseFailure,
     InverseOutcome,
+    NotCoprimeError,
+    ZeroOperandError,
+    _outcome,
     inverse,
     inverse_pair,
     unit_inverse,
@@ -79,7 +81,7 @@ def reciprocity_check(a: int, b: int) -> ReciprocityReport:
     )
 
 
-def _batched_descent(x: int, y: int) -> tuple[int, int, list[tuple[int, int, int, int]]] | None:
+def _batched_descent(x: int, y: int) -> tuple[int, int, list[tuple[int, int, int, int]]]:
     """Euclid descent of x, y > 0, batched on leading bits, until y fits the window.
 
     Each batch runs Euclid on the top _WINDOW_BITS of the pair (Lehmer's
@@ -93,8 +95,8 @@ def _batched_descent(x: int, y: int) -> tuple[int, int, list[tuple[int, int, int
     batch that does not leave 0 < y' < x' <= y, or has no quotient, gives
     way to one full divmod step.  Returns the pair reached
     and the step matrices (u0, v0, u1, v1), outermost first, each taking the
-    pair (x, y) above it to (u0*x + v0*y, u1*x + v1*y); None when a
-    remainder vanishes, which is a shared factor.
+    pair (x, y) above it to (u0*x + v0*y, u1*x + v1*y).  Raises
+    NotCoprimeError when a remainder vanishes, which is a shared factor.
     """
     max_steps = 3 * min(x, y).bit_length() + _STEP_SLACK
     steps = []
@@ -125,13 +127,13 @@ def _batched_descent(x: int, y: int) -> tuple[int, int, list[tuple[int, int, int
                 continue
         q, r = divmod(x, y)
         if r == 0:
-            return None
+            raise NotCoprimeError("operand and modulus share a factor")
         steps.append((0, 1, 1, -q))
         x, y = y, r
     return x, y, steps
 
 
-def reciprocal_pair(a: int, m: int) -> tuple[int, int] | None:
+def reciprocal_pair(a: int, m: int) -> tuple[int, int]:
     """(inv(a mod m), inv(m mod a)) for nonzero a, m, both certified by the identity.
 
     The descent writes x = q*y + r with floor remainders, starting from
@@ -157,22 +159,22 @@ def reciprocal_pair(a: int, m: int) -> tuple[int, int] | None:
     Either way the climb ends on both inverses of (a, m), and the identity
     a*P + m*S = 1 + a*m, with P and S in their windows, certifies the two
     together for two multiplications and no division.  The check raises
-    InvariantError, so ``python -O`` keeps it.  Returns None when a
-    remainder vanishes, which is a shared factor.
+    InvariantError, so ``python -O`` keeps it.  Raises ZeroOperandError on a
+    zero operand and NotCoprimeError when a remainder vanishes, which is a
+    shared factor.
     """
+    if a == 0 or m == 0:
+        raise ZeroOperandError("reciprocity needs nonzero operands")
     x, y, batches = a, m, []
     if a.bit_length() > _WINDOW_BITS and m.bit_length() > _WINDOW_BITS:
-        descent = _batched_descent(abs(a), abs(m))
-        if descent is None:
-            return None
-        x, y, batches = descent
+        x, y, batches = _batched_descent(abs(a), abs(m))
     x_top = x  # the pair the batches reached, if any
     max_steps = 3 * min(abs(x), abs(y)).bit_length() + _STEP_SLACK
     levels: list[tuple[int, int]] = []  # (q, y), outermost first
     while abs(y) != 1:
         q, r = divmod(x, y)
         if r == 0:
-            return None
+            raise NotCoprimeError("operand and modulus share a factor")
         levels.append((q, y))
         if len(levels) > max_steps:
             raise InvariantError("reduction exceeded the Euclid step bound")
@@ -201,12 +203,7 @@ def inverse_via_reciprocity(a: int, m: int) -> InverseOutcome:
     the algorithm.  No cofactor is carried down the descent: every inverse
     is built on the way back up from the unit closed form.
     """
-    if a == 0 or m == 0:
-        return InverseOutcome(failure=InverseFailure.ZERO_OPERAND)
-    pair = reciprocal_pair(a, m)
-    if pair is None:
-        return InverseOutcome(failure=InverseFailure.NOT_COPRIME)
-    return InverseOutcome(result=pair[0])
+    return _outcome(lambda a, m: reciprocal_pair(a, m)[0], a, m)
 
 
 def solve_diophantine(a: int, m: int) -> tuple[int, int]:

@@ -86,6 +86,13 @@ def test_inv_undefined_exit_codes(capsys):
     code, _, err = run(capsys, "inv", "5", "0")
     assert code == 2
     assert "ZeroOperand" in err
+    # classical-inv reports the error of the inversion it runs, as inv does
+    code, out, _ = run(capsys, "classical-inv", "2", "4", "--json")
+    assert code == 2
+    assert json.loads(out) == {"error": "NotCoprime", "detail": "operand and modulus share a factor"}
+    code, _, err = run(capsys, "classical-inv", "0", "1")
+    assert code == 2
+    assert err == "error: ZeroOperand: inverse needs a nonzero operand and modulus\n"
 
 
 def test_classical_inv(capsys):
@@ -96,22 +103,28 @@ def test_classical_inv(capsys):
 
 
 def test_inv_classical_value_matches_classical_inverse():
-    # inv derives the classical value from its one signed inversion: every
+    # inv derives the classical value from its one signed inversion, and
+    # classical-inv gives the same value or fails with inv's error: every
     # sign, unit and shared-factor moduli and one pair past the crossover
     rng = random.Random(4096)
     wide_a, wide_m = rng.getrandbits(4096) | 1 << 4095, rng.getrandbits(4096) | 1 << 4095
     while math.gcd(wide_a, wide_m) != 1:
         wide_m += 1
     grid = [(a, m) for a in range(-12, 13) for m in range(-12, 13)]
+    inv, classical_inv = cli.COMMANDS["inv"].compute, cli.COMMANDS["classical-inv"].compute
     for a, m in grid + [(-wide_a, wide_m), (wide_a, -wide_m)]:
         try:
             want = classical_inverse(a, m).expect()
         except ValueError as exc:
-            with pytest.raises(type(exc)):
-                cli.COMMANDS["inv"].compute(a, m, True)
+            with pytest.raises(type(exc)) as inv_exc:
+                inv(a, m, True)
+            with pytest.raises(type(exc)) as classical_exc:
+                classical_inv(a, m)
+            assert str(classical_exc.value) == str(inv_exc.value)
             continue
-        obj, text = cli.COMMANDS["inv"].compute(a, m, True)
+        obj, text = inv(a, m, True)
         assert obj["classical"] == want and text == f"{obj['inverse']} (classical: {want})"
+        assert classical_inv(a, m) == ({"a": a, "m": m, "classical": want}, str(want))
 
 
 def test_recip_text(capsys):
@@ -237,13 +250,6 @@ def test_usage_after_a_subcommand_lists_every_subcommand(capsys):
     for argv in (["inv", "3", "7", "--bogus"], ["inv", "3", "--", "--"]):
         code, out, err = _exit(capsys, lambda: main(argv))
         assert (code, out) == (1, "") and err.startswith(usage), err
-
-
-@pytest.mark.parametrize("argv", [["-h"], ["nosuch", "1"], [], ["inv", "-h"], ["verify", "-h"],
-                                  ["bench", "-h"], ["inv", "3", "7", "--bogus"],
-                                  ["gauss-inv", "1+i"], ["bench", "--bits", "x"]])
-def test_parser_output_matches_the_full_parser(argv, capsys):
-    assert _exit(capsys, lambda: main(argv)) == _exit(capsys, lambda: build_parser().parse_args(argv))
 
 
 def test_wide_hex_inv_prints_in_full(capsys):

@@ -168,5 +168,7 @@ def test_benchmark_form_is_a_plain_call():
     assert vars(plain) == vars(build_parser().parse_args(
         ["reduce", "--minus", "--json", "--", "-7", "0x1", "3"]))
     for argv in (["inv", "3", "7", "--json", "--"], ["inv", "--", "3", "--", "7"], ["inv", "-h"],
-                 ["inv", "3", "7", "--js"], ["inv", "3", "-0x7"], ["verify"]):
+                 ["inv", "3", "7", "--js"], ["inv", "3", "-0x7"], ["verify"],
+                 ["-h"], ["nosuch", "1"], [], ["verify", "-h"], ["bench", "-h"],
+                 ["inv", "3", "7", "--bogus"], ["gauss-inv", "1+i"], ["bench", "--bits", "x"]):
         assert cli._plain_call(argv) is None, argv

@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -14,6 +15,7 @@ from modrecip.recip import (
     _WINDOW_BITS,
     _batched_descent,
     inverse_via_reciprocity,
+    reciprocal_pair,
     reciprocity_check,
     solve_diophantine,
 )
@@ -70,6 +72,24 @@ def test_inverse_via_reciprocity_failures():
     assert inverse_via_reciprocity(2, 4).failure is InverseFailure.NOT_COPRIME
     assert inverse_via_reciprocity(0, 4).failure is InverseFailure.ZERO_OPERAND
     assert inverse_via_reciprocity(4, 0).failure is InverseFailure.ZERO_OPERAND
+    # the route under the outcome raises.  A signed 4096-bit pair with a common
+    # 32-bit factor, as the wide-inverse benchmark builds them, runs the batched
+    # descent and vanishes in the per-level one; a common 2048-bit factor
+    # vanishes in the batched descent itself
+    rng = random.Random(32)
+
+    def shared(factor_bits):
+        g = rng.getrandbits(factor_bits) | 1 << factor_bits - 1 | 1
+        rest = 4096 - factor_bits
+        return (-g * (rng.getrandbits(rest) | 1 << rest - 1),
+                g * (rng.getrandbits(rest) | 1 << rest - 1))
+
+    for a, m in ((2, 4), shared(32), shared(2048)):
+        with pytest.raises(NotCoprimeError):
+            reciprocal_pair(a, m)
+    for a, m in ((0, 4), (4, 0)):
+        with pytest.raises(ZeroOperandError):
+            reciprocal_pair(a, m)
 
 
 @given(wide, wide)
