@@ -1,9 +1,10 @@
 """Command-line surface: single computations, verification sweeps, benchmark.
 
 Exit codes: 0 success, 1 usage or parse error, 2 undefined inverse or
-violated hypothesis, 3 verification counterexample.  Prefix operands that
-start with '-' and are not plain negative decimals (hex, Gaussian forms)
-with a standalone '--' argument.
+violated hypothesis, 3 verification counterexample.  :func:`main` returns
+every code, argparse's help and usage errors included, and a range error
+of the library's own checks as 1.  Prefix operands that start with '-' and
+are not plain negative decimals (hex, Gaussian forms) with a standalone '--'.
 
 Only :mod:`modrecip.core` is imported up front.  Each subcommand imports
 the modules it runs when it runs, so a one-shot process such as
@@ -225,16 +226,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if not MIN_BITS <= args.bits <= MAX_BITS:
-        print(f"modrecip bench: error: --bits must be in [{MIN_BITS}, {MAX_BITS}]",
-              file=sys.stderr)
-        return EXIT_USAGE
-    if args.iters < 1:
-        print("modrecip bench: error: --iters must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
     from dataclasses import asdict
     from .bench import run_bench
-    report = run_bench(args.bits, args.iters, args.seed)
+    try:
+        report = run_bench(args.bits, args.iters, args.seed)
+    except DomainError as exc:  # run_bench's own range checks
+        print(f"modrecip bench: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if not report.all_agreed:
         print(f"modrecip bench: routes disagreed on {report.iterations - report.agreement_count}"
               " trial(s); no timing report", file=sys.stderr)
@@ -288,12 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, with one subparser per subcommand."""
     import argparse
 
-    class _Parser(argparse.ArgumentParser):
-        # usage problems are exit code 1, not argparse's default 2
-        def error(self, message: str):
-            self.print_usage(sys.stderr)
-            self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
     def typed(convert: Callable) -> Callable:
         # argparse prints an ArgumentTypeError's own message
         def operand(text: str):
@@ -308,8 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit one JSON object instead of text")
 
-    parser = _Parser(prog="modrecip", description="Signed modular inverses and identities")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    parser = argparse.ArgumentParser(prog="modrecip",
+                                     description="Signed modular inverses and identities")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, parents=[common], help=command.help)
@@ -352,11 +345,14 @@ def main(argv=None) -> int:
         args = _plain_call(argv)
         if args is None:
             parser = build_parser()
-            args = parser.parse_args(argv)
-            # argparse takes a second "--" as an operand and hands it over as []
-            empty = [name for name, value in vars(args).items() if isinstance(value, list)]
-            if empty:
-                parser.error(f"missing operand(s): {', '.join(empty)}")
+            try:
+                args = parser.parse_args(argv)
+                # argparse takes a second "--" as an operand and hands it over as []
+                empty = [name for name, value in vars(args).items() if isinstance(value, list)]
+                if empty:
+                    parser.error(f"missing operand(s): {', '.join(empty)}")
+            except SystemExit as exc:  # argparse has printed its help or usage error
+                return EXIT_OK if exc.code == 0 else EXIT_USAGE
         try:
             return args.func(args)
         except (ZeroOperandError, NotCoprimeError, DomainError) as exc:

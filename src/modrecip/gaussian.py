@@ -201,6 +201,7 @@ def format_gaussian(z: GaussianInteger) -> str:
 _BOTH = re.compile(r"([+-]?\d+)([+-]\d*)i\Z")
 _IMAG = re.compile(r"([+-]?\d*)i\Z")
 _REAL = re.compile(r"([+-]?\d+)\Z")
+_SPLIT_NUMERAL = re.compile(r"\d +\d")  # text with it keeps its spaces, so no pattern matches
 
 
 def _imag_coeff(text: str) -> int:
@@ -212,8 +213,8 @@ def _imag_coeff(text: str) -> int:
 
 
 def parse_gaussian(text: str) -> GaussianInteger:
-    """Parse 'a+bi' style text; bare reals, bare imaginaries and spaces are fine."""
-    s = text.replace(" ", "")
+    """Parse 'a+bi' style text; bare reals, bare imaginaries and spaces outside numerals are fine."""
+    s = text if _SPLIT_NUMERAL.search(text) else text.replace(" ", "")
     m = _BOTH.fullmatch(s)
     if m:
         return GaussianInteger(int(m.group(1)), _imag_coeff(m.group(2)))

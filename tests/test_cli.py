@@ -69,11 +69,10 @@ def test_hex_operand_grammar(text, want, capsys):
     # a sign goes before the 0x prefix; after it int() refuses a sign or space,
     # and takes an underscore as in a Python literal
     argv = ["inv", "--json", "--", text, "1000003"]
-    if want is None:  # a refused operand reaches argparse, which exits
-        outcome = code, out, err = _exit(capsys, lambda: main(argv))
+    outcome = code, out, err = run(capsys, *argv)
+    if want is None:  # a refused operand reaches argparse, whose error main returns as 1
         assert (code, out) == (1, "") and f"invalid integer {text!r}" in err
     else:
-        outcome = code, out, err = run(capsys, *argv)
         assert (code, err) == (0, "") and json.loads(out)["a"] == want
     proc = _module_process(argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == outcome
@@ -219,27 +218,26 @@ def test_gauss_linear_inv(capsys):
 
 
 def test_usage_errors_exit_1(capsys):
+    # main returns argparse's usage errors as 1; a space inside a Gaussian
+    # numeral does not join its digits into one number
     for argv in (["inv", "7"], ["inv", "x", "3"], ["gauss-inv", "1+zi", "2+1i"], [],
-                 ["inv", "3", "7", "--seed", "5"], ["inv", "", "5"], ["inv", " ", "5"]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 1
+                 ["inv", "3", "7", "--seed", "5"], ["inv", "", "5"], ["inv", " ", "5"],
+                 ["gauss-inv", "--", "1 2+1i", "2+1i"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "") and err.startswith("usage: modrecip"), argv
+
+
+def test_help_exits_0(capsys):
+    for argv in (["-h"], ["inv", "-h"], ["verify", "--help"], ["bench", "-h"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and out.startswith("usage: modrecip"), argv
 
 
 def test_repeated_double_dash_is_a_usage_error(capsys):
     # argparse hands a second "--" to the next operand as an empty list
     for argv in (["inv", "3", "--", "--"], ["quad", "0", "1", "0", "--", "--"]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 1
-        assert "missing operand" in capsys.readouterr().err
-
-
-def _exit(capsys, call):
-    with pytest.raises(SystemExit) as exc:
-        call()
-    out = capsys.readouterr()
-    return exc.value.code, out.out, out.err
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and "missing operand" in err
 
 
 def test_usage_after_a_subcommand_lists_every_subcommand(capsys):
@@ -248,7 +246,7 @@ def test_usage_after_a_subcommand_lists_every_subcommand(capsys):
     usage = build_parser().format_usage()
     assert all(name in usage for name in [*cli.COMMANDS, "verify", "bench"])
     for argv in (["inv", "3", "7", "--bogus"], ["inv", "3", "--", "--"]):
-        code, out, err = _exit(capsys, lambda: main(argv))
+        code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "") and err.startswith(usage), err
 
 
@@ -288,10 +286,8 @@ def test_operand_cap_exit_1(capsys):
     too_wide = "0x1" + "0" * (MAX_OPERAND_BITS // 4)  # 2**65536 has 65537 bits
     for argv in (["inv", too_wide, "7"], ["recip", "7", "9" * 20000],
                  ["gauss-inv", "9" * 19730 + "+1i", "2+1i"], ["inv", "7", "1" * 70000]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 1
-        assert "65536-bit cap" in capsys.readouterr().err
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and "65536-bit cap" in err
 
 
 def test_verify_small_bound(capsys):
@@ -388,12 +384,12 @@ def test_bench_reports_seed_in_text(capsys):
 
 
 def test_bench_parameter_validation(capsys):
-    code, _, err = run(capsys, "bench", "--bits", "32", "--iters", "5")
-    assert code == 1 and "--bits" in err
-    code, _, err = run(capsys, "bench", "--bits", "16385", "--iters", "5")
-    assert code == 1
-    code, _, err = run(capsys, "bench", "--bits", "64", "--iters", "0")
-    assert code == 1 and "--iters" in err
+    # the range checks are run_bench's, and the message names its parameters
+    width_error = "modrecip bench: error: bit_width must be in [64, 16384]\n"
+    assert run(capsys, "bench", "--bits", "32", "--iters", "5") == (1, "", width_error)
+    assert run(capsys, "bench", "--bits", "16385", "--iters", "5") == (1, "", width_error)
+    assert run(capsys, "bench", "--bits", "64", "--iters", "0") == (
+        1, "", "modrecip bench: error: iterations must be at least 1\n")
 
 
 def test_bench_counts_only_three_way_agreement(monkeypatch):

@@ -209,7 +209,8 @@ def test_parse_gaussian(text, expected):
     assert parse_gaussian(text) == expected
 
 
-@pytest.mark.parametrize("text", ["", "x", "1+", "i1", "2+2", "1+2j", "--3", "3i+2"])
+@pytest.mark.parametrize("text", ["", "x", "1+", "i1", "2+2", "1+2j", "--3", "3i+2",
+                                  "1 2", "3 4i", "1 2+3i"])
 def test_parse_gaussian_rejects(text):
     with pytest.raises(ValueError):
         parse_gaussian(text)

@@ -8,17 +8,31 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def _exits_outside_main_block(tree: ast.Module) -> list[ast.AST]:
+    """`raise SystemExit` and `sys.exit(...)` nodes not under `if __name__ == "__main__":`."""
+    guarded = {id(inner) for node in ast.walk(tree)
+               if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+               for inner in ast.walk(node)}
+    return [node for node in ast.walk(tree) if id(node) not in guarded
+            and (isinstance(node, ast.Raise) and ast.unparse(node).startswith("raise SystemExit")
+                 or isinstance(node, ast.Call) and ast.unparse(node.func) == "sys.exit")]
+
+
 def test_package_has_no_assert_statements():
     # python -O strips assert statements, so no invariant may rest on one; and
     # every self-check raises InvariantError, the fault the -O tests count,
-    # never a bare AssertionError
+    # never a bare AssertionError.  Exit decisions stay in cli.main, which
+    # returns its code: only a __main__ block may exit the process
     modules = sorted((SRC / "modrecip").glob("*.py"))
     assert modules
-    found = [f"{path.name}:{node.lineno}"
-             for path in modules
-             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in modules}
+    found = [f"{name}:{node.lineno}"
+             for name, tree in trees.items()
+             for node in ast.walk(tree)
              if isinstance(node, ast.Assert)
              or isinstance(node, ast.Raise) and ast.unparse(node).startswith("raise AssertionError")]
+    found += [f"{name}:{node.lineno}" for name, tree in trees.items()
+              for node in _exits_outside_main_block(tree)]
     assert found == []
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from modrecip.core import InverseFailure, NotCoprimeError, ZeroOperandError, mod_inverse
+from modrecip.core import InverseFailure, NotCoprimeError, ZeroOperandError, inverse_pair, mod_inverse
 from modrecip.recip import (
     _WINDOW_BITS,
     _batched_descent,
@@ -150,13 +150,18 @@ def test_batched_descent_keeps_a_euclid_pair():
 
 
 def test_recursion_survives_fibonacci_worst_case():
-    # consecutive Fibonacci numbers maximize the reduction step count:
-    # every quotient is 1, here over more than 4096 bits
+    # consecutive Fibonacci numbers maximize the reduction step count (every
+    # quotient is 1, here over more than 4096 bits); a huge quotient, 2**2048,
+    # leaves remainder 1 at once.  Both take the batched route, so the oracle
+    # is the built-in pow, whose window also follows the sign of the modulus
     f0, f1 = 1, 1
     while f1.bit_length() <= 4096:
         f0, f1 = f1, f0 + f1
-    for a, m in ((f0, f1), (f1, f0), (-f0, f1), (f0, -f1)):
-        assert inverse_via_reciprocity(a, m).expect() == mod_inverse(a, m).expect()
+    for x, y in ((f0, f1), (2**4096 + 1, 2**2048)):
+        for a, m in ((x, y), (-x, y), (x, -y), (-x, -y)):
+            pair = inverse_pair(a, m)
+            assert pair == (pow(a, -1, m), pow(m, -1, a))
+            assert inverse_via_reciprocity(a, m).expect() == pair[0]
 
 
 def test_recursion_handles_huge_asymmetric_operands():
