@@ -198,30 +198,17 @@ def format_gaussian(z: GaussianInteger) -> str:
     return f"{z.re}{z.im:+d}i"
 
 
-_BOTH = re.compile(r"([+-]?\d+)([+-]\d*)i\Z")
-_IMAG = re.compile(r"([+-]?\d*)i\Z")
-_REAL = re.compile(r"([+-]?\d+)\Z")
-_SPLIT_NUMERAL = re.compile(r"\d +\d")  # text with it keeps its spaces, so no pattern matches
-
-
-def _imag_coeff(text: str) -> int:
-    if text in ("", "+"):
-        return 1
-    if text == "-":
-        return -1
-    return int(text)
+# an optional real part that ends where a sign or the text ends, then an
+# optional imaginary part whose coefficient may be a bare sign or nothing
+_NUMERAL = re.compile(r"(?:([+-]?\d+)(?=[+-]|\Z))?(?:([+-]?)(\d*)i)?")
+_SPLIT_NUMERAL = re.compile(r"\d +\d")  # text with it keeps its spaces, so the pattern fails
 
 
 def parse_gaussian(text: str) -> GaussianInteger:
     """Parse 'a+bi' style text; bare reals, bare imaginaries and spaces outside numerals are fine."""
     s = text if _SPLIT_NUMERAL.search(text) else text.replace(" ", "")
-    m = _BOTH.fullmatch(s)
-    if m:
-        return GaussianInteger(int(m.group(1)), _imag_coeff(m.group(2)))
-    m = _IMAG.fullmatch(s)
-    if m:
-        return GaussianInteger(0, _imag_coeff(m.group(1)))
-    m = _REAL.fullmatch(s)
-    if m:
-        return GaussianInteger(int(m.group(1)), 0)
-    raise ValueError(f"not a Gaussian integer: {text!r}")
+    m = _NUMERAL.fullmatch(s) if s else None
+    if m is None:
+        raise ValueError(f"not a Gaussian integer: {text!r}")
+    real, sign, digits = m.groups()
+    return GaussianInteger(int(real or 0), 0 if sign is None else int(sign + (digits or "1")))

@@ -4,7 +4,7 @@ Each suite is a module-level generator ``cases(config, chunk)`` that walks
 its share of the outer operands in ascending order and yields one outcome
 per case: ``None`` when the case passes, a counterexample label when it
 fails, or ``BREAK`` for a designed break in a classical-units suite.  One
-engine, ``_sweep``, counts the outcomes, keeps the first few labels (so the
+engine, ``Suite.run``, counts the outcomes, keeps the first few labels (so the
 first recorded failure is the minimal counterexample for that ordering),
 times the suite and shards its outer operands across worker processes.
 One table, ``SUITES``, lists every suite in run order; ``CLASSICAL_UNITS``
@@ -158,27 +158,26 @@ class Suite(NamedTuple):
     outer: Callable[[SweepConfig], Iterable]
     note: str = ""  # may use {breaks}, the count of designed breaks
 
+    def run(self, config: SweepConfig) -> SweepResult:
+        """Run the suite over its outer operands, sharded when the config asks."""
+        start = time.perf_counter()
+        outer = list(self.outer(config))
+        shards = config.shard_count
+        if shards <= 1 or len(outer) < 2 * shards:
+            parts = [_tally(self.cases, config, outer)]
+        else:
+            from concurrent.futures import ProcessPoolExecutor
 
-def _sweep(suite: Suite, config: SweepConfig) -> SweepResult:
-    """Run one suite over its outer operands, sharded when the config asks."""
-    start = time.perf_counter()
-    outer = list(suite.outer(config))
-    shards = config.shard_count
-    if shards <= 1 or len(outer) < 2 * shards:
-        parts = [_tally(suite.cases, config, outer)]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # several contiguous chunks per worker even out uneven case costs;
-        # merged in order, they keep the labels in sweep order
-        size = -(-len(outer) // (4 * shards))
-        chunks = [outer[i : i + size] for i in range(0, len(outer), size)]
-        with ProcessPoolExecutor(max_workers=shards) as ex:
-            parts = list(ex.map(_tally, repeat(suite.cases), repeat(config), chunks))
-    count, fails, breaks = (sum(part[i] for part in parts) for i in (0, 1, 3))
-    samples = [label for part in parts for label in part[2]][:_SAMPLE_LIMIT]
-    elapsed = time.perf_counter() - start
-    return SweepResult(suite.name, count, fails, samples, suite.note.format(breaks=breaks), elapsed)
+            # several contiguous chunks per worker even out uneven case costs;
+            # merged in order, they keep the labels in sweep order
+            size = -(-len(outer) // (4 * shards))
+            chunks = [outer[i : i + size] for i in range(0, len(outer), size)]
+            with ProcessPoolExecutor(max_workers=shards) as ex:
+                parts = list(ex.map(_tally, repeat(self.cases), repeat(config), chunks))
+        count, fails, breaks = (sum(part[i] for part in parts) for i in (0, 1, 3))
+        samples = [label for part in parts for label in part[2]][:_SAMPLE_LIMIT]
+        elapsed = time.perf_counter() - start
+        return SweepResult(self.name, count, fails, samples, self.note.format(breaks=breaks), elapsed)
 
 
 def _division_law_cases(config, chunk):
@@ -424,53 +423,28 @@ CLASSICAL_UNITS = {
 def run_all(config: SweepConfig, classical_units: bool = False) -> list[SweepResult]:
     """Run every sweep; classical-units mode swaps in the counterfactual suites."""
     table = SUITES | CLASSICAL_UNITS if classical_units else SUITES
-    return [_sweep(suite, config) for suite in table.values()]
+    return [suite.run(config) for suite in table.values()]
 
 
 # One entry point per suite, for callers that run a single sweep.
-def run_division_law_sweep(config: SweepConfig) -> SweepResult:
-    return _sweep(SUITES["division-law"], config)
-
-
-def run_unit_modulus_sweep(config: SweepConfig) -> SweepResult:
-    return _sweep(SUITES["unit-modulus-table"], config)
-
-
-def run_divergence_sweep(config: SweepConfig) -> SweepResult:
-    return _sweep(SUITES["classical-divergence"], config)
-
-
-def run_oracle_sweep(config: SweepConfig) -> SweepResult:
-    return _sweep(SUITES["inverse-oracles"], config)
+run_division_law_sweep = SUITES["division-law"].run
+run_unit_modulus_sweep = SUITES["unit-modulus-table"].run
+run_divergence_sweep = SUITES["classical-divergence"].run
+run_oracle_sweep = SUITES["inverse-oracles"].run
+run_shift_invariance_sweep = SUITES["shift-invariance"].run
+run_square_sweep = SUITES["square-inverse"].run
+run_quad_sweep = SUITES["quad-pair"].run
+run_gaussian_sweep = SUITES["gaussian-inverse"].run
+run_gaussian_linear_sweep = SUITES["gaussian-linear"].run
 
 
 def run_reciprocity_sweep(config: SweepConfig, classical_units: bool = False) -> SweepResult:
-    return _sweep((CLASSICAL_UNITS if classical_units else SUITES)["reciprocity"], config)
-
-
-def run_shift_invariance_sweep(config: SweepConfig) -> SweepResult:
-    return _sweep(SUITES["shift-invariance"], config)
+    return (CLASSICAL_UNITS if classical_units else SUITES)["reciprocity"].run(config)
 
 
 def run_reduction_sweep(config: SweepConfig, classical_units: bool = False) -> SweepResult:
-    return _sweep((CLASSICAL_UNITS if classical_units else SUITES)["reduction"], config)
-
-
-def run_square_sweep(config: SweepConfig) -> SweepResult:
-    return _sweep(SUITES["square-inverse"], config)
-
-
-def run_quad_sweep(config: SweepConfig) -> SweepResult:
-    return _sweep(SUITES["quad-pair"], config)
-
-
-def run_gaussian_sweep(config: SweepConfig) -> SweepResult:
-    return _sweep(SUITES["gaussian-inverse"], config)
-
-
-def run_gaussian_linear_sweep(config: SweepConfig) -> SweepResult:
-    return _sweep(SUITES["gaussian-linear"], config)
+    return (CLASSICAL_UNITS if classical_units else SUITES)["reduction"].run(config)
 
 
 def run_unit_contradiction_fixture(config: SweepConfig | None = None) -> SweepResult:
-    return _sweep(SUITES["unit-contradiction-fixture"], config or SweepConfig())
+    return SUITES["unit-contradiction-fixture"].run(config or SweepConfig())

@@ -1,14 +1,13 @@
 import itertools
 import json
 import math
-import os
 import random
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
+from child_process import run_python
 from modrecip import bench as bench_mod
 from modrecip import cli, verify
 from modrecip.bench import BenchReport
@@ -319,11 +318,7 @@ def test_verify_shard_cap_exit_1(capsys):
 
 
 def _module_process(argv: list[str]) -> subprocess.CompletedProcess:
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    return subprocess.run([sys.executable, "-m", "modrecip", *argv], capture_output=True,
-                          text=True, env=env, timeout=300)
+    return run_python("-m", "modrecip", *argv, timeout=300)
 
 
 def _verify_process(shards: str) -> dict:

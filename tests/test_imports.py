@@ -2,16 +2,12 @@
 only the modules their subcommand runs."""
 
 import json
-import os
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 import modrecip
-
-SRC = Path(__file__).resolve().parents[1] / "src"
+from child_process import run_python
 
 # Records the modules that importing the CLI and running one in-process
 # main(argv) add to a fresh interpreter, and the exit code main returns.
@@ -26,10 +22,7 @@ print(json.dumps({"code": code, "added": sorted(set(sys.modules) - before)}))
 
 
 def _child(script: str, *argv: str) -> str:
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
-                          text=True, env=env, timeout=60)
+    proc = run_python("-c", script, *argv)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -65,10 +58,7 @@ def test_quad_imports_identities_only():
 
 def test_module_run_of_inv_loads_core_alone():
     # the `python -m modrecip` path, through runpy and __main__, as one-shot calls run it
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "modrecip", "inv", "3", "7"],
-                          capture_output=True, text=True, timeout=60,
-                          env={**os.environ, "PYTHONPATH": path})
+    proc = run_python("-X", "importtime", "-m", "modrecip", "inv", "3", "7")
     assert (proc.returncode, proc.stdout) == (0, "5\n"), proc.stderr
     loaded = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
     assert "modrecip.core" in loaded

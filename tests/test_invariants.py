@@ -1,11 +1,7 @@
 import ast
-import os
-import subprocess
-import sys
 import textwrap
-from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+from child_process import SRC, run_python
 
 
 def _exits_outside_main_block(tree: ast.Module) -> list[ast.AST]:
@@ -148,11 +144,28 @@ def test_batch_climb_check_survives_optimize_flag():
     assert _run_optimized(script) == ["False", "4", "4", "4", "4", "4"]
 
 
+def test_post_condition_survives_optimize_flag():
+    # a wrong unit base case must be caught by the final check even when
+    # the interpreter strips asserts
+    script = textwrap.dedent("""
+        from modrecip import recip
+        from modrecip.core import InvariantError
+
+        right = recip.unit_inverse
+        recip.unit_inverse = lambda a, m: right(a, m) + 1
+        caught = 0
+        for a, m in ((7, 22), (3, -5), (-2, -5), (97, 89)):
+            try:
+                recip.inverse_via_reciprocity(a, m)
+            except InvariantError:
+                caught += 1
+        print(__debug__, caught)
+    """)
+    assert _run_optimized(script) == ["False", "4"]
+
+
 def _run_optimized(script: str) -> list[str]:
     """Run script in a python -O child and return its stdout words."""
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
-                          text=True, env=env, timeout=60)
+    proc = run_python("-O", "-c", script)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.split()

@@ -140,28 +140,39 @@ def test_classical_units_mode_reports_designed_breaks_only():
     assert int(red.note.split()[0]) > 0
 
 
-def test_unit_contradiction_fixture():
-    result = run_unit_contradiction_fixture()
-    assert result.passed and result.cases == 3
+# every suite's case count at SMALL, classical-units suites included
+_SMALL_COUNTS = dict(SMALL_CASES) | {name: cases for name, cases, _ in SMALL_CLASSICAL.values()}
 
 
 @pytest.mark.parametrize(
-    "sweep",
+    "sweep, args, name",
     [
-        run_division_law_sweep,
-        run_unit_modulus_sweep,
-        run_divergence_sweep,
-        run_oracle_sweep,
-        run_reciprocity_sweep,
-        run_shift_invariance_sweep,
-        run_reduction_sweep,
-        run_square_sweep,
-        run_quad_sweep,
-        run_gaussian_sweep,
-        run_gaussian_linear_sweep,
+        pytest.param(run_division_law_sweep, (SMALL,), "division-law",
+                     id="run_division_law_sweep"),
+        pytest.param(run_unit_modulus_sweep, (SMALL,), "unit-modulus-table",
+                     id="run_unit_modulus_sweep"),
+        pytest.param(run_divergence_sweep, (SMALL,), "classical-divergence",
+                     id="run_divergence_sweep"),
+        pytest.param(run_oracle_sweep, (SMALL,), "inverse-oracles", id="run_oracle_sweep"),
+        pytest.param(run_reciprocity_sweep, (SMALL,), "reciprocity", id="run_reciprocity_sweep"),
+        pytest.param(run_reciprocity_sweep, (SMALL, True), "reciprocity-classical-units",
+                     id="run_reciprocity_sweep-classical_units"),
+        pytest.param(run_shift_invariance_sweep, (SMALL,), "shift-invariance",
+                     id="run_shift_invariance_sweep"),
+        pytest.param(run_reduction_sweep, (SMALL,), "reduction", id="run_reduction_sweep"),
+        pytest.param(run_reduction_sweep, (SMALL, True), "reduction-classical-units",
+                     id="run_reduction_sweep-classical_units"),
+        pytest.param(run_square_sweep, (SMALL,), "square-inverse", id="run_square_sweep"),
+        pytest.param(run_quad_sweep, (SMALL,), "quad-pair", id="run_quad_sweep"),
+        pytest.param(run_gaussian_sweep, (SMALL,), "gaussian-inverse", id="run_gaussian_sweep"),
+        pytest.param(run_gaussian_linear_sweep, (SMALL,), "gaussian-linear",
+                     id="run_gaussian_linear_sweep"),
+        pytest.param(run_unit_contradiction_fixture, (), "unit-contradiction-fixture",
+                     id="run_unit_contradiction_fixture"),
     ],
 )
-def test_each_sweep_individually(sweep):
-    result = sweep(SMALL)
+def test_each_sweep_individually(sweep, args, name):
+    # an entry point that ran another suite would report that suite's name and count
+    result = sweep(*args)
     assert result.passed, result.failures
-    assert result.cases > 0
+    assert (result.name, result.cases) == (name, _SMALL_COUNTS[name])
