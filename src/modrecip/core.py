@@ -259,19 +259,21 @@ def classical_inverse(a: int, m: int) -> InverseOutcome:
 
 
 def _search(a: int, m: int) -> int:
-    _require_coprime(a, m)
+    if a == 0:
+        raise ZeroOperandError("inverse needs a nonzero operand and modulus")
     one = 1 % m
     window = range(1, m) if m > 0 else range(m + 1, 0)
     for x in window:
         if a * x % m == one:
             return x
-    raise InvariantError("coprime inverse must exist in the window")
+    raise NotCoprimeError("operand and modulus share a factor")
 
 
 def brute_force_inverse(a: int, m: int) -> InverseOutcome:
     """Exhaustive-search oracle over the signed window; needs |m| > 1.
 
-    A test oracle, not a production path: O(|m|) per call.
+    A test oracle, not a production path: O(|m|) per call.  An empty search,
+    not math.gcd, is what reports NOT_COPRIME, so the oracle stays independent.
     """
     if abs(m) <= 1:
         raise DomainError("brute_force_inverse needs |m| > 1")

@@ -140,10 +140,7 @@ def divides(d: GaussianInteger, n: GaussianInteger) -> bool:
 def _check_inverse_hypotheses(z: GaussianInteger, w: GaussianInteger) -> tuple[int, int]:
     if z.re == 0 or z.im == 0 or w.re == 0 or w.im == 0:
         raise DomainError("all four components must be nonzero")
-    s, t = z.norm(), w.norm()
-    if s <= 1 or t <= 1:
-        raise DomainError("both norms must exceed 1")
-    return s, t
+    return z.norm(), w.norm()
 
 
 def gaussian_inverse(

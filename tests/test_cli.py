@@ -12,8 +12,8 @@ from modrecip import bench as bench_mod
 from modrecip import cli, verify
 from modrecip.bench import BenchReport
 from modrecip.cli import MAX_OPERAND_BITS, build_parser, main
-from modrecip.core import (DomainError, NotCoprimeError, ZeroOperandError, classical_inverse, inverse,
-                           mod_inverse)
+from modrecip.core import (DomainError, InvariantError, NotCoprimeError, ZeroOperandError,
+                           classical_inverse, inverse, mod_inverse)
 from modrecip.identities import sum_inverse_values
 from modrecip.verify import SweepResult
 
@@ -359,6 +359,22 @@ def test_verify_counterexample_exit_3(monkeypatch, capsys):
     assert code == 3
     assert "minimal counterexample: a=1 b=1" in out
     assert "verification FAILED" in out
+
+
+def test_verify_subject_raise_is_counterexample_exit_3(monkeypatch, tmp_path, capsys):
+    def broken(a, b):
+        raise InvariantError("planted fault")
+
+    monkeypatch.setattr(verify, "square_inverse", broken)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("bound=4\ngaussian_bound=2\nquad_bound=3\nshift_bound=3\n"
+                   "reduce_bound=3\nsquare_bound=3\nlinear_bound=3\nk_bound=2\n")
+    code, out, err = run(capsys, "verify", "--config", str(cfg))
+    assert code == 3 and err == ""
+    assert "square-inverse: 0 cases, 1 FAILED" in out
+    assert "minimal counterexample: InvariantError: planted fault" in out
+    # the suites after the broken one still run
+    assert "unit-contradiction-fixture: 3 cases, ok" in out
 
 
 def test_bench_small(capsys):

@@ -1,6 +1,7 @@
 import math
 import pickle
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -259,6 +260,14 @@ def test_brute_force_examples():
     assert brute_force_inverse(5, -7).expect() == -4
     assert brute_force_inverse(2, 4).failure is InverseFailure.NOT_COPRIME
     assert brute_force_inverse(0, 9).failure is InverseFailure.ZERO_OPERAND
+
+
+def test_brute_force_decides_coprimality_without_gcd(monkeypatch):
+    # the oracle must not share inverse's gcd pre-check, or it cannot catch a wrong one
+    monkeypatch.setattr(core, "math", SimpleNamespace(gcd=lambda a, b: 1))
+    assert brute_force_inverse(2, 4).failure is InverseFailure.NOT_COPRIME
+    assert brute_force_inverse(6, -9).failure is InverseFailure.NOT_COPRIME
+    assert brute_force_inverse(5, -7).expect() == -4
 
 
 @pytest.mark.parametrize("m", [0, 1, -1])

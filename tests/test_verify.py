@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from modrecip import verify
-from modrecip.core import DomainError
+from modrecip.core import DomainError, InvariantError
 from modrecip.verify import (
     SweepConfig,
     load_sweep_config,
@@ -110,15 +110,43 @@ def test_sharding_is_result_invariant():
         assert _outcomes(serial) == [(name, cases, 0, [], note) for name, cases, note in expected]
 
 
-def test_planted_failure_is_shard_invariant(monkeypatch):
+def _wrong_residue(honest):
+    def planted(z, w):
+        rep, canon = honest(z, w)
+        return rep, canon + 1
+    return planted
+
+
+def _raises_from_4(honest):
+    def planted(a, b):
+        if a > 3:
+            raise InvariantError("planted fault")
+        return honest(a, b)
+    return planted
+
+
+@pytest.mark.parametrize(
+    "subject, plant, sweep, failure_count, first",
+    [
+        pytest.param("square_inverse", lambda honest: lambda a, b: honest(a, b) + (a > 3),
+                     run_square_sweep, 20, "a=4 b=-5 ", id="square-inverse"),
+        pytest.param("gaussian_inverse", _wrong_residue, run_gaussian_sweep, 640,
+                     "z=-3-3i w=-3-2i", id="gaussian-residue"),
+        # a subject that raises fails its suite once, with the error's type and message
+        pytest.param("square_inverse", _raises_from_4, run_square_sweep, 1,
+                     "InvariantError: planted fault", id="raising-subject"),
+    ],
+)
+def test_planted_failure_is_shard_invariant(monkeypatch, subject, plant, sweep, failure_count,
+                                            first):
     if multiprocessing.get_start_method() != "fork":
         pytest.skip("the planted failure reaches worker processes only through fork")
-    honest = verify.square_inverse
-    monkeypatch.setattr(verify, "square_inverse", lambda a, b: honest(a, b) + (a > 3))
-    serial = run_square_sweep(SMALL)
-    sharded = run_square_sweep(replace(SMALL, shard_count=3))
-    assert serial.failure_count > 5 and len(serial.failures) == 5
-    assert serial.failures[0].startswith("a=4 b=-5 ")
+    monkeypatch.setattr(verify, subject, plant(getattr(verify, subject)))
+    serial = sweep(SMALL)
+    sharded = sweep(replace(SMALL, shard_count=3))
+    assert serial.failure_count == failure_count
+    assert len(serial.failures) == min(failure_count, 5)
+    assert serial.failures[0].startswith(first)
     assert _outcomes([serial]) == _outcomes([sharded])
 
 
