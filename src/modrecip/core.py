@@ -19,16 +19,17 @@ inverses of a coprime pair from one inversion and the reciprocity
 identity, which also certifies them.
 Every route raises.  Outcomes are built only at the public edge:
 :func:`mod_inverse` and the other outcome routes run their route through one
-adapter, which returns those two failures as an :class:`InverseOutcome`, a
-plain immutable value class with slots, not a dataclass, so ``modrecip inv``
-never imports :mod:`dataclasses` and the ``inspect`` chain behind it.  The
-pure-Python :func:`extended_gcd` stays as the independent Bezout-certificate
-oracle the verification sweeps check it against.
+adapter, which returns those two failures as an :class:`InverseOutcome`.  It and
+:class:`modrecip.gaussian.GaussianInteger` share :class:`_Value`, the one value form:
+immutable slots, not a dataclass, so ``modrecip inv`` never imports :mod:`dataclasses`
+and the ``inspect`` chain behind it.  The pure-Python :func:`extended_gcd` stays as
+the independent Bezout-certificate oracle the verification sweeps check it against.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from enum import Enum
 from typing import Callable
 
@@ -68,10 +69,42 @@ _FAILURE_EXC = {
 }
 
 
-class InverseOutcome:
+class _Value:
+    """An immutable value of two or more slots, equal only to its own type and compared,
+    hashed, pickled and printed by its fields; each subclass's ``__init__`` writes them
+    through the slots' own setters."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._astuple = property(operator.attrgetter(*cls.__slots__))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._astuple
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._astuple == other._astuple
+
+    def __hash__(self):
+        return hash(self._astuple)
+
+    def __repr__(self):
+        fields = ", ".join(map("{}={!r}".format, self.__slots__, self._astuple))
+        return f"{type(self).__name__}({fields})"
+
+
+class InverseOutcome(_Value):
     """Either an inverse value or a typed reason why none exists.
 
-    An immutable value: outcomes compare and hash by (result, failure).
+    A :class:`_Value`: outcomes compare and hash by (result, failure).
     """
 
     __slots__ = ("result", "failure")
@@ -81,26 +114,6 @@ class InverseOutcome:
             raise ValueError("exactly one of result/failure must be set")
         _set_result(self, result)
         _set_failure(self, failure)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return InverseOutcome, (self.result, self.failure)
-
-    def __eq__(self, other):
-        if type(other) is not InverseOutcome:
-            return NotImplemented
-        return self.result == other.result and self.failure == other.failure
-
-    def __hash__(self):
-        return hash((self.result, self.failure))
-
-    def __repr__(self):
-        return f"InverseOutcome(result={self.result!r}, failure={self.failure!r})"
 
     @property
     def ok(self) -> bool:

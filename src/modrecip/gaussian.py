@@ -11,15 +11,13 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .core import DomainError, InvariantError, ZeroOperandError, inverse, inverse_pair
+from .core import DomainError, InvariantError, ZeroOperandError, _Value, inverse, inverse_pair
 
 
-class GaussianInteger:
-    """re + im*i.  An immutable value: compares and hashes by (re, im).
+class GaussianInteger(_Value):
+    """re + im*i, a :class:`modrecip.core._Value` of (re, im).
 
-    A slots class rather than a dataclass, so that Gaussian one-shot CLI
-    calls never import :mod:`dataclasses`, and construction, the sweeps'
-    hottest call, skips the frozen dataclass's ``object.__setattr__``.
+    Construction, the sweeps' hottest call, writes both slots directly.
     """
 
     __slots__ = ("re", "im")
@@ -28,26 +26,6 @@ class GaussianInteger:
     def __init__(self, re: int, im: int):
         _set_re(self, re)
         _set_im(self, im)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return GaussianInteger, (self.re, self.im)
-
-    def __eq__(self, other):
-        if type(other) is not GaussianInteger:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __repr__(self):
-        return f"GaussianInteger(re={self.re!r}, im={self.im!r})"
 
     def norm(self) -> int:
         """a*a + b*b; zero only for the zero element."""

@@ -166,6 +166,7 @@ class Suite(NamedTuple):
         start = time.perf_counter()
         outer = list(self.outer(config))
         shards = config.shard_count
+        note = self.note
         try:
             if shards <= 1 or len(outer) < 2 * shards:
                 parts = [_tally(self.cases, config, outer)]
@@ -181,10 +182,11 @@ class Suite(NamedTuple):
         except (DomainError, InvariantError, NotCoprimeError, ZeroOperandError) as exc:
             # a subject that raises is one counterexample for the whole suite
             parts = [(0, 1, [f"{type(exc).__name__}: {exc}"], 0)]
+            note = ""  # its count of designed breaks is unknown
         count, fails, breaks = (sum(part[i] for part in parts) for i in (0, 1, 3))
         samples = [label for part in parts for label in part[2]][:_SAMPLE_LIMIT]
         elapsed = time.perf_counter() - start
-        return SweepResult(self.name, count, fails, samples, self.note.format(breaks=breaks), elapsed)
+        return SweepResult(self.name, count, fails, samples, note.format(breaks=breaks), elapsed)
 
 
 def _division_law_cases(config, chunk):

@@ -190,7 +190,8 @@ def test_outcome_is_an_immutable_value():
     assert repr(five) == "InverseOutcome(result=5, failure=None)"
     assert repr(fail) == ("InverseOutcome(result=None, "
                           "failure=<InverseFailure.NOT_COPRIME: 'NotCoprime'>)")
-    assert pickle.loads(pickle.dumps(fail)) == fail
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(fail, protocol)) == fail
     assert five.ok and not fail.ok and five.expect() == 5
     with pytest.raises(NotCoprimeError):
         fail.expect()

@@ -32,6 +32,18 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_only_the_value_base_writes_the_value_contract():
+    # InverseOutcome and GaussianInteger inherit immutability, equality, hashing
+    # and pickling from core._Value; a second hand-written copy would drift
+    contract = {"__setattr__", "__delattr__", "__eq__", "__hash__", "__reduce__"}
+    writers = {f"{path.stem}.{node.name}"
+               for path in sorted((SRC / "modrecip").glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if isinstance(node, ast.ClassDef)
+               and contract & {item.name for item in node.body if isinstance(item, ast.FunctionDef)}}
+    assert writers == {"core._Value"}
+
+
 def test_identity_post_checks_survive_optimize_flag():
     # planted faults must still be caught when the interpreter strips asserts:
     # a wrong inverse breaks the square forms' agreement and the linear

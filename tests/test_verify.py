@@ -135,6 +135,10 @@ def _raises_from_4(honest):
         # a subject that raises fails its suite once, with the error's type and message
         pytest.param("square_inverse", _raises_from_4, run_square_sweep, 1,
                      "InvariantError: planted fault", id="raising-subject"),
+        # and a raising classical-units suite reports no count of designed breaks
+        pytest.param("unit_inverse", _raises_from_4,
+                     lambda config: run_reduction_sweep(config, classical_units=True), 1,
+                     "InvariantError: planted fault", id="raising-classical-subject"),
     ],
 )
 def test_planted_failure_is_shard_invariant(monkeypatch, subject, plant, sweep, failure_count,
@@ -147,6 +151,7 @@ def test_planted_failure_is_shard_invariant(monkeypatch, subject, plant, sweep, 
     assert serial.failure_count == failure_count
     assert len(serial.failures) == min(failure_count, 5)
     assert serial.failures[0].startswith(first)
+    assert serial.note == ""
     assert _outcomes([serial]) == _outcomes([sharded])
 
 
