@@ -56,6 +56,9 @@ def run_bench(bit_width: int, iterations: int, seed: int | None = None) -> Bench
         raise DomainError("iterations must be at least 1")
     if seed is None:
         seed = random.SystemRandom().getrandbits(64)
+    elif not 0 <= seed < 1 << 64:
+        # Random(-s) draws what Random(s) draws, so a signed seed would give one stream two names
+        raise DomainError("seed must be in [0, 2**64 - 1]")
     rng = random.Random(seed)
 
     recip_ns: list[int] = []

@@ -236,8 +236,8 @@ def _oracle_cases(config, chunk):
         ok = lo <= v <= hi and a * v % m == 1 % m
         ok = ok and v == brute_force_inverse(a, m).expect()
         ok = ok and v == inverse_via_reciprocity(a, m).expect()
-        g, x, _ = extended_gcd(a, m)
-        ok = ok and g == 1 and x % m == v
+        g, x, y = extended_gcd(a, m)
+        ok = ok and g == 1 and a * x + m * y == 1 and x % m == v
         yield None if ok else f"a={a} m={m} inverse={v}"
 
 
@@ -362,10 +362,14 @@ def _gaussian_cases(config, chunk):
             for c in values:
                 for d in values:
                     w = GaussianInteger(c, d)
-                    if math.gcd(s, w.norm()) != 1:
+                    t = w.norm()
+                    if math.gcd(s, t) != 1:
                         continue
                     rep, canon = gaussian_inverse(z, w)
-                    ok = divides(w, z * canon - 1)
+                    # the documented representative: conj(z)*x with 1 <= x <= t - 1
+                    x, r = divmod(rep.re, a)
+                    ok = not r and rep.im == -b * x and 0 < x < t
+                    ok = ok and divides(w, z * canon - 1)
                     ok = ok and gaussian_bezout_identity(a, b, c, d)
                     # the canonical residue ignores which representative is reduced
                     ok = ok and gaussian_divmod(rep + w * 3, w).remainder == canon

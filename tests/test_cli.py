@@ -401,6 +401,11 @@ def test_bench_parameter_validation(capsys):
     assert run(capsys, "bench", "--bits", "16385", "--iters", "5") == (1, "", width_error)
     assert run(capsys, "bench", "--bits", "64", "--iters", "0") == (
         1, "", "modrecip bench: error: iterations must be at least 1\n")
+    # Random(-5) draws what Random(5) draws, so the U64 range is enforced
+    seed_error = "modrecip bench: error: seed must be in [0, 2**64 - 1]\n"
+    for seed in ("-5", str(1 << 64)):
+        assert run(capsys, "bench", "--bits", "64", "--iters", "5", "--seed", seed) == (
+            1, "", seed_error)
 
 
 def test_bench_counts_only_three_way_agreement(monkeypatch):

@@ -1,6 +1,7 @@
 import math
 import pickle
 import random
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -348,15 +349,30 @@ def test_batched_route_at_the_operand_cap():
     assert recip.inverse_via_reciprocity(a, m).result == want
 
 
+def test_wide_inverse_reads_nothing_from_the_recip_module(monkeypatch):
+    # core holds the climb it takes above the crossover, so a stand-in
+    # recip module whose climb raises cannot reach a wide inversion
+    def refuse(a, m):
+        raise AssertionError("core reached modrecip.recip")
+
+    monkeypatch.setitem(sys.modules, "modrecip.recip", SimpleNamespace(reciprocal_pair=refuse))
+    rng = random.Random(2048)
+    a = -(rng.getrandbits(2048) | 1 << 2047)
+    m = rng.getrandbits(2048) | 1 << 2047
+    while math.gcd(a, m) != 1:
+        m += 1
+    assert inverse(a, m) == pow(a, -1, m)
+
+
 def test_inverse_is_pow_at_or_below_the_crossover(monkeypatch):
     calls = []
-    route = recip.reciprocal_pair
+    route = core.reciprocal_pair
 
     def counted(a, m):
         calls.append((a, m))
         return route(a, m)
 
-    monkeypatch.setattr(recip, "reciprocal_pair", counted)
+    monkeypatch.setattr(core, "reciprocal_pair", counted)
     rng = random.Random(8)
 
     def coprime_pair(bits_a, bits_m):

@@ -36,10 +36,14 @@ def _added_modules(*argv: str, code: int = 0) -> set[str]:
 _HEAVY = {"modrecip.verify", "modrecip.bench", "statistics"}
 
 
+_WIDE = (1 << 2047) + 1  # odd, so coprime to _WIDE + 2: a pair past the pow route
+
+
 @pytest.mark.parametrize("argv", [
     ("inv", "3", "7"),
     ("inv", "3", "7", "--classical", "--json"),
     ("classical-inv", "-3", "7"),
+    ("inv", str(_WIDE), str(_WIDE + 2)),  # core holds the batched route too
 ])
 def test_inverse_commands_import_only_core(argv):
     added = _added_modules(*argv)
@@ -74,9 +78,6 @@ def test_gauss_inv_imports_gaussian_only():
     assert not added & unwanted, sorted(added & unwanted)
 
 
-_WIDE = (1 << 2047) + 1  # odd, so coprime to _WIDE + 2: a pair past the pow route
-
-
 @pytest.mark.parametrize("argv, code, runs", [
     (("reduce", "7", "1", "3"), 0, "modrecip.identities"),
     (("reduce", "7", "1", "3", "--minus"), 0, "modrecip.identities"),
@@ -84,7 +85,7 @@ _WIDE = (1 << 2047) + 1  # odd, so coprime to _WIDE + 2: a pair past the pow rou
     (("gauss-inv", "1+1i", "2+1i"), 0, "modrecip.gaussian"),
     (("gauss-inv", "1+1i", "2+xi"), 1, "modrecip.gaussian"),
     (("gauss-linear-inv", "3", "2"), 0, "modrecip.gaussian"),
-    (("inv", str(_WIDE), str(_WIDE + 2)), 0, "modrecip.recip"),
+    (("inv", str(_WIDE), str(_WIDE + 2)), 0, "modrecip.core"),
 ], ids=["reduce", "reduce-minus", "square-inv", "gauss-inv", "gauss-inv-malformed",
         "gauss-linear-inv", "inv-2048-bit"])
 def test_commands_without_a_report_load_no_dataclasses(argv, code, runs):

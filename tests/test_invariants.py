@@ -114,7 +114,7 @@ def test_batch_climb_check_survives_optimize_flag():
         from modrecip import core, recip
         from modrecip.core import InvariantError
 
-        descend = recip._batched_descent
+        descend = core._batched_descent
 
         def corrupted(entry, position):
             # add one to one entry of one recorded step matrix
@@ -145,10 +145,10 @@ def test_batch_climb_check_survives_optimize_flag():
             return count
 
         # u0 of a middle step: the climb's inverse goes wrong
-        recip._batched_descent = corrupted(0, lambda n: n // 2)
+        core._batched_descent = corrupted(0, lambda n: n // 2)
         climb = caught(core.inverse), caught(recip.inverse_via_reciprocity)
         # v1 of the outermost step moves only the top V, so only the partner
-        recip._batched_descent = corrupted(3, lambda n: 0)
+        core._batched_descent = corrupted(3, lambda n: 0)
         partner = (caught(core.inverse), caught(core.inverse_pair),
                    caught(recip.solve_diophantine))
         print(__debug__, *climb, *partner)
@@ -160,11 +160,11 @@ def test_post_condition_survives_optimize_flag():
     # a wrong unit base case must be caught by the final check even when
     # the interpreter strips asserts
     script = textwrap.dedent("""
-        from modrecip import recip
+        from modrecip import core, recip
         from modrecip.core import InvariantError
 
-        right = recip.unit_inverse
-        recip.unit_inverse = lambda a, m: right(a, m) + 1
+        right = core.unit_inverse
+        core.unit_inverse = lambda a, m: right(a, m) + 1
         caught = 0
         for a, m in ((7, 22), (3, -5), (-2, -5), (97, 89)):
             try:

@@ -5,10 +5,16 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from modrecip.core import InverseFailure, NotCoprimeError, ZeroOperandError, inverse_pair, mod_inverse
-from modrecip.recip import (
+from modrecip.core import (
     _WINDOW_BITS,
+    InverseFailure,
+    NotCoprimeError,
+    ZeroOperandError,
     _batched_descent,
+    inverse_pair,
+    mod_inverse,
+)
+from modrecip.recip import (
     inverse_via_reciprocity,
     reciprocal_pair,
     reciprocity_check,

@@ -117,6 +117,22 @@ def _wrong_residue(honest):
     return planted
 
 
+def _cofactor_off_by_m(honest):
+    # x keeps its residue, so only the Bezout sum shows the fault
+    def planted(a, m):
+        g, x, y = honest(a, m)
+        return g, x + m, y
+    return planted
+
+
+def _representative_plus_wz(honest):
+    # still an inverse with the right residue, but not conj(z)*x
+    def planted(z, w):
+        rep, canon = honest(z, w)
+        return rep + w * z, canon
+    return planted
+
+
 def _raises_from_4(honest):
     def planted(a, b):
         if a > 3:
@@ -132,6 +148,10 @@ def _raises_from_4(honest):
                      run_square_sweep, 20, "a=4 b=-5 ", id="square-inverse"),
         pytest.param("gaussian_inverse", _wrong_residue, run_gaussian_sweep, 640,
                      "z=-3-3i w=-3-2i", id="gaussian-residue"),
+        pytest.param("extended_gcd", _cofactor_off_by_m, run_oracle_sweep, 140,
+                     "a=-7 m=-8 inverse=-7", id="extended-gcd-cofactor"),
+        pytest.param("gaussian_inverse", _representative_plus_wz, run_gaussian_sweep, 640,
+                     "z=-3-3i w=-3-2i", id="gaussian-representative"),
         # a subject that raises fails its suite once, with the error's type and message
         pytest.param("square_inverse", _raises_from_4, run_square_sweep, 1,
                      "InvariantError: planted fault", id="raising-subject"),
