@@ -1,8 +1,9 @@
 """Closed-form identities that move an inverse to a related modulus.
 
-Every operation here computes its result from previously known inverses
-(never by running a fresh gcd on the target modulus) and is designed to
-be swept against :func:`modrecip.core.inverse` exhaustively.  Each
+Every operation here computes its result from previously known inverses,
+with no inversion modulo the target (:func:`quad_pair_inverses` runs one
+``math.gcd(u, v)``, only to decide whether its sum flags apply), and is
+designed to be swept against :func:`modrecip.core.inverse` exhaustively.  Each
 starts from inverses taken with :func:`modrecip.core.inverse` (or, for
 both inverses of a pair, :func:`modrecip.core.inverse_pair`) and lets
 their ZeroOperandError and NotCoprimeError through unchanged.

@@ -6,10 +6,10 @@ For coprime nonzero a, b the identity reads
 
 and it stays exact for unit operands because of the signed closed form
 in :func:`modrecip.core.unit_inverse`.  :func:`reciprocity_check` evaluates
-both sides from two independent inversions.  Its corollary, the reduction
-identity, lifts both inverses of a Euclid pair one level up with no
-division, and :func:`modrecip.core.reciprocal_pair` inverts by climbing it.
-The identity's two applications build on that climb:
+both sides for the certified pair of :func:`modrecip.core.inverse_pair`.
+Its corollary, the reduction identity, lifts both inverses of a Euclid pair
+one level up with no division, and :func:`modrecip.core.reciprocal_pair`
+inverts by climbing it.  The identity's two applications build on that climb:
 :func:`inverse_via_reciprocity` returns its first value as an outcome, and
 :func:`solve_diophantine` reads the cofactor of a*x - k*m = 1 off the pair.
 
@@ -23,16 +23,15 @@ from typing import TYPE_CHECKING
 
 import modrecip
 
-from .core import InvariantError, InverseOutcome, _outcome, inverse, inverse_pair, reciprocal_pair
+from .core import InvariantError, InverseOutcome, _outcome, inverse_pair, reciprocal_pair
 
 if TYPE_CHECKING:
     from .reports import ReciprocityReport
 
 
 def reciprocity_check(a: int, b: int) -> ReciprocityReport:
-    """Recompute both inverses and report whether lhs = 1 + a*b exactly."""
-    inv_a = inverse(a, b)
-    inv_b = inverse(b, a)
+    """Report whether lhs = 1 + a*b exactly for the pair of :func:`modrecip.core.inverse_pair`."""
+    inv_a, inv_b = inverse_pair(a, b)
     lhs = a * inv_a + b * inv_b
     rhs = 1 + a * b
     k, rem = divmod(lhs - 1, a * b)

@@ -51,15 +51,29 @@ from .identities import (
 )
 from .recip import inverse_via_reciprocity, reciprocity_check
 
-# brute_force_inverse is O(|m|); keep CLI-driven sweeps under this modulus
-BRUTE_FORCE_CAP = 1 << 20
-
 _SAMPLE_LIMIT = 5
 # |a| bound of the unit-modulus table
 _UNIT_MODULUS_LIMIT = 100
 
 # outcome of a classical-units case that breaks exactly as predicted
 BREAK = object()
+
+
+# The range of each SweepConfig field, with the suite that each cap bounds.
+# The caps come from the case rates `verify` prints: with every field at its
+# cap, one serial run (2 vCPUs, Python 3.11) took at most 326 s per suite,
+# within a ten-minute budget.
+_LIMITS = {
+    "bound": (2, 1600),  # inverse-oracles, a brute-force search per case: O(bound^3)
+    "k_bound": (0, 300),  # reduction: O(reduce_bound^2 * k_bound)
+    "gaussian_bound": (2, 24),  # gaussian-inverse: O(gaussian_bound^4)
+    "shard_count": (1, MAX_SHARDS),
+    "shift_bound": (2, 200),  # shift-invariance: O(shift_bound^2 * k_bound)
+    "reduce_bound": (2, 200),  # reduction
+    "square_bound": (2, 4000),  # square-inverse: O(square_bound^2)
+    "quad_bound": (2, 36),  # quad-pair: O(quad_bound^4)
+    "linear_bound": (2, 4000),  # gaussian-linear: O(linear_bound^2)
+}
 
 
 @dataclass
@@ -77,18 +91,9 @@ class SweepConfig:
     linear_bound: int = 30
 
     def __post_init__(self) -> None:
-        if self.bound < 2:
-            raise DomainError("bound must be at least 2")
-        if self.bound > BRUTE_FORCE_CAP:
-            raise DomainError(f"bound must not exceed {BRUTE_FORCE_CAP}")
-        if not 1 <= self.shard_count <= MAX_SHARDS:
-            raise DomainError(f"shard_count must be in [1, {MAX_SHARDS}]")
-        if self.k_bound < 0:
-            raise DomainError("k_bound must be nonnegative")
-        for name in ("gaussian_bound", "shift_bound", "reduce_bound",
-                     "square_bound", "quad_bound", "linear_bound"):
-            if getattr(self, name) < 2:
-                raise DomainError(f"{name} must be at least 2")
+        for name, (least, most) in _LIMITS.items():
+            if not least <= getattr(self, name) <= most:
+                raise DomainError(f"{name} must be in [{least}, {most}]")
 
 
 def load_sweep_config(path: str) -> SweepConfig:
@@ -242,11 +247,12 @@ def _oracle_cases(config, chunk):
 
 
 def _reciprocity_cases(config, chunk):
-    """a*inv_a + b*inv_b = 1 + a*b over every coprime signed pair."""
+    """a*inv_a + b*inv_b = 1 + a*b over every coprime signed pair, inv_b against a direct inverse."""
     for a, b in _coprime(chunk, signed_range(config.bound)):
         rep = reciprocity_check(a, b)
-        ok = rep.holds and rep.k == 1
-        yield None if ok else f"a={a} b={b} lhs={rep.lhs} rhs={rep.rhs} k={rep.k}"
+        ok = rep.holds and rep.k == 1 and rep.inv_b_mod_a == inverse(b, a)
+        yield None if ok else (f"a={a} b={b} lhs={rep.lhs} rhs={rep.rhs} k={rep.k}"
+                               f" inv_b={rep.inv_b_mod_a}")
 
 
 def _reciprocity_classical_cases(config, chunk):

@@ -317,6 +317,23 @@ def test_verify_shard_cap_exit_1(capsys):
     assert code == 1 and out == "" and "shard_count" in err
 
 
+@pytest.mark.parametrize("option, value, field", [
+    ("--bound", "100000", "bound"),
+    ("--gaussian-bound", "1000", "gaussian_bound"),
+    ("--k-bound", "1000000", "k_bound"),
+    ("--config", "quad_bound=1000", "quad_bound"),
+])
+def test_verify_bound_cap_exit_1(tmp_path, capsys, option, value, field):
+    # a bound whose sweeps could not finish is refused before any suite runs
+    if option == "--config":
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(value + "\n")
+        value = str(cfg)
+    code, out, err = run(capsys, "verify", option, value)
+    assert code == 1 and out == ""
+    assert err.startswith(f"modrecip verify: error: {field} must be in [")
+
+
 def _module_process(argv: list[str]) -> subprocess.CompletedProcess:
     return run_python("-m", "modrecip", *argv, timeout=300)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from modrecip import core, identities
+from modrecip import core, identities, verify
 from modrecip.cli import COMMANDS
 from modrecip.core import (
     DomainError,
@@ -320,8 +320,15 @@ def test_paired_callers_invert_once_per_pair(monkeypatch):
     assert count(inverse_mod_gaussian_linear, 7, 3) == 1
     # inv derives its classical value from the one signed inversion
     assert count(COMMANDS["inv"].compute, 3, 7, True) == 1
-    # the reciprocity sweep's subject keeps two independent inversions
-    assert count(reciprocity_check, 7, 3) == 2
+    # the identity's own check takes its pair from inverse_pair
+    assert count(reciprocity_check, 7, 3) == 1
+    # and the reciprocity sweep holds the pair's second value to a direct
+    # inversion: two inversions for each of the four cases (3, b), |b| <= 2
+    def sweep_cases():
+        return list(verify._reciprocity_cases(verify.SweepConfig(bound=2), [3]))
+
+    assert sweep_cases() == [None] * 4
+    assert count(sweep_cases) == 8
 
 
 def test_positive_case_sweep_small():

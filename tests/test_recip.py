@@ -11,6 +11,7 @@ from modrecip.core import (
     NotCoprimeError,
     ZeroOperandError,
     _batched_descent,
+    inverse,
     inverse_pair,
     mod_inverse,
 )
@@ -137,6 +138,65 @@ def test_recursion_survives_fibonacci_worst_case():
             pair = inverse_pair(a, m)
             assert pair == (pow(a, -1, m), pow(m, -1, a))
             assert inverse_via_reciprocity(a, m).expect() == pair[0]
+
+
+def _random_pair(bits_a, bits_m, seed):
+    """A coprime pair of the given widths."""
+    rng = random.Random(seed)
+    a = rng.getrandbits(bits_a) | 1 << bits_a - 1
+    m = rng.getrandbits(bits_m) | 1 << bits_m - 1 | 1
+    while math.gcd(a, m) != 1:
+        a += 1
+    return a, m
+
+
+def _fibonacci_pair(bits):
+    f0, f1 = 1, 1
+    while f1.bit_length() < bits:
+        f0, f1 = f1, f0 + f1
+    return f1, f0
+
+
+# Structured pairs at the Lehmer window (120 bits), at the 1664-bit crossover
+# of core.inverse, and past both, where the shipped verify sweeps never go
+_STRUCTURED = {
+    **{f"width-{bits}": _random_pair(bits, bits, seed=bits)
+       for bits in (119, 120, 121, 1663, 1664, 1665, 1666, 4096, 65536)},
+    "word-against-wide": _random_pair(64, 4096, seed=64),
+    "fibonacci-200": _fibonacci_pair(200),
+    "fibonacci-1700": _fibonacci_pair(1700),
+    "huge-quotient-240": (2**240 + 1, 2**120),
+    "huge-quotient-3400": (2**3400 + 1, 2**1700),
+    "mersenne-2048": (2**2048 - 1, 2**2047 - 1),
+}
+
+
+@pytest.mark.parametrize("name", _STRUCTURED)
+def test_structured_wide_pairs_agree_on_every_route(name):
+    x, y = _STRUCTURED[name]
+    for a, m in ((x, y), (-x, y), (x, -y), (-x, -y)):
+        want = pow(a, -1, m)
+        assert inverse(a, m) == want
+        pair = inverse_pair(a, m)
+        assert pair[0] == want and a * pair[0] + m * pair[1] == 1 + a * m
+        assert inverse_via_reciprocity(a, m).expect() == want
+        rep = reciprocity_check(a, m)
+        assert (rep.inv_a_mod_b, rep.inv_b_mod_a) == pair and rep.holds and rep.k == 1
+        assert solve_diophantine(a, m) == (want, a - pair[1])
+
+
+@pytest.mark.parametrize("bits", [121, 1664, 1666, 4096])
+@pytest.mark.parametrize("factor_bits", [32, "half"])
+def test_wide_shared_factors_raise_from_every_route(bits, factor_bits):
+    factor_bits = bits // 2 if factor_bits == "half" else factor_bits
+    g = random.Random(bits).getrandbits(factor_bits) | 1 << factor_bits - 1
+    x, y = _random_pair(bits - factor_bits, bits - factor_bits, seed=factor_bits)
+    routes = (inverse, inverse_pair, lambda a, m: inverse_via_reciprocity(a, m).expect(),
+              reciprocity_check, solve_diophantine)
+    for a, m in ((x, y), (-x, y), (x, -y), (-x, -y)):
+        for route in routes:
+            with pytest.raises(NotCoprimeError):
+                route(g * a, g * m)
 
 
 def test_recursion_handles_huge_asymmetric_operands():

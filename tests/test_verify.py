@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from modrecip import verify
+from modrecip import recip, verify
 from modrecip.core import DomainError, InvariantError
 from modrecip.verify import (
     SweepConfig,
@@ -54,6 +54,12 @@ def test_config_validation():
         SweepConfig(k_bound=-1)
     with pytest.raises(DomainError):
         SweepConfig(quad_bound=1)
+    # every bound has a cap, named by the error, that its sweeps finish under
+    for field, value in (("bound", 100000), ("gaussian_bound", 1000), ("k_bound", 10**6),
+                         ("quad_bound", 1000)):
+        with pytest.raises(DomainError, match=f"^{field} must be in"):
+            SweepConfig(**{field: value})
+    assert SweepConfig(bound=200).bound == 200  # acceptance criterion 3
 
 
 def test_load_sweep_config(tmp_path):
@@ -141,31 +147,61 @@ def _raises_from_4(honest):
     return planted
 
 
+def _plus_one_at_3_mod_5(honest):
+    def planted(a, m):
+        return honest(a, m) + (abs(a) % 5 == 3)
+    return planted
+
+
+def _first_plus_one_at_3_mod_5(honest):
+    def planted(a, m):
+        p, s = honest(a, m)
+        return p + (abs(a) % 5 == 3), s
+    return planted
+
+
+def _pair_shifted_at_3_mod_5(honest):
+    # (x + b, y - a) leaves a*x + b*y unchanged, so the identity still holds
+    def planted(a, b):
+        x, y = honest(a, b)
+        return (x + b, y - a) if abs(a) % 5 == 3 else (x, y)
+    return planted
+
+
 @pytest.mark.parametrize(
-    "subject, plant, sweep, failure_count, first",
+    "module, subject, plant, sweep, failure_count, first",
     [
-        pytest.param("square_inverse", lambda honest: lambda a, b: honest(a, b) + (a > 3),
+        pytest.param(verify, "square_inverse", lambda honest: lambda a, b: honest(a, b) + (a > 3),
                      run_square_sweep, 20, "a=4 b=-5 ", id="square-inverse"),
-        pytest.param("gaussian_inverse", _wrong_residue, run_gaussian_sweep, 640,
+        pytest.param(verify, "gaussian_inverse", _wrong_residue, run_gaussian_sweep, 640,
                      "z=-3-3i w=-3-2i", id="gaussian-residue"),
-        pytest.param("extended_gcd", _cofactor_off_by_m, run_oracle_sweep, 140,
+        pytest.param(verify, "extended_gcd", _cofactor_off_by_m, run_oracle_sweep, 140,
                      "a=-7 m=-8 inverse=-7", id="extended-gcd-cofactor"),
-        pytest.param("gaussian_inverse", _representative_plus_wz, run_gaussian_sweep, 640,
+        pytest.param(verify, "gaussian_inverse", _representative_plus_wz, run_gaussian_sweep, 640,
                      "z=-3-3i w=-3-2i", id="gaussian-representative"),
+        # the climb behind inverse_via_reciprocity, patched where recip binds it
+        pytest.param(recip, "reciprocal_pair", _first_plus_one_at_3_mod_5, run_oracle_sweep,
+                     32, "a=-3 m=-8 inverse=-3", id="reciprocal-pair-first"),
+        # the reciprocity sweep's direct inversion of (b, a) checks the report's partner
+        pytest.param(verify, "inverse", _plus_one_at_3_mod_5, run_reciprocity_sweep,
+                     40, "a=-8 b=-3 lhs=25 rhs=25 k=1 inv_b=-3", id="reciprocity-partner"),
+        # a pair off its windows that keeps the identity: only that direct inversion sees it
+        pytest.param(recip, "inverse_pair", _pair_shifted_at_3_mod_5, run_reciprocity_sweep,
+                     40, "a=-8 b=-7 lhs=57 rhs=57 k=1 inv_b=1", id="reciprocity-shifted-pair"),
         # a subject that raises fails its suite once, with the error's type and message
-        pytest.param("square_inverse", _raises_from_4, run_square_sweep, 1,
+        pytest.param(verify, "square_inverse", _raises_from_4, run_square_sweep, 1,
                      "InvariantError: planted fault", id="raising-subject"),
         # and a raising classical-units suite reports no count of designed breaks
-        pytest.param("unit_inverse", _raises_from_4,
+        pytest.param(verify, "unit_inverse", _raises_from_4,
                      lambda config: run_reduction_sweep(config, classical_units=True), 1,
                      "InvariantError: planted fault", id="raising-classical-subject"),
     ],
 )
-def test_planted_failure_is_shard_invariant(monkeypatch, subject, plant, sweep, failure_count,
-                                            first):
+def test_planted_failure_is_shard_invariant(monkeypatch, module, subject, plant, sweep,
+                                            failure_count, first):
     if multiprocessing.get_start_method() != "fork":
         pytest.skip("the planted failure reaches worker processes only through fork")
-    monkeypatch.setattr(verify, subject, plant(getattr(verify, subject)))
+    monkeypatch.setattr(module, subject, plant(getattr(module, subject)))
     serial = sweep(SMALL)
     sharded = sweep(replace(SMALL, shard_count=3))
     assert serial.failure_count == failure_count
