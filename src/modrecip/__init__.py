@@ -25,11 +25,12 @@ _EXPORTS = {
     "gaussian": ("GaussianDivMod", "GaussianInteger", "divides", "format_gaussian",
                  "gaussian_bezout_identity", "gaussian_divmod", "gaussian_inverse",
                  "inverse_mod_gaussian_linear", "parse_gaussian"),
-    "identities": ("positive_case_exact", "quad_pair_inverses", "reduce_inverse_minus",
-                   "reduce_inverse_plus", "shift_invariance", "square_inverse",
-                   "sum_of_squares_inverses"),
-    "recip": ("inverse_via_reciprocity", "reciprocity_check", "solve_diophantine"),
-    "reports": ("QuadPairReport", "ReciprocityReport"),
+    "identities": ("reduce_inverse_minus", "reduce_inverse_plus", "shift_invariance",
+                   "square_inverse"),
+    "quad": ("QuadPairReport", "positive_case_exact", "quad_pair_inverses",
+             "sum_of_squares_inverses"),
+    "recip": ("ReciprocityReport", "inverse_via_reciprocity", "reciprocity_check",
+              "solve_diophantine"),
     "verify": ("SweepConfig", "SweepResult", "load_sweep_config", "run_all"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -129,14 +129,14 @@ def _quad_text(rep) -> str:
 
 def _quad(a, b, c, d):
     from dataclasses import asdict
-    from .identities import quad_pair_inverses
+    from .quad import quad_pair_inverses
     rep = quad_pair_inverses(a, b, c, d)
     return asdict(rep), _quad_text(rep)
 
 
 def _sums(a, b, c, d):
     from dataclasses import asdict
-    from .identities import sum_inverse_values
+    from .quad import sum_inverse_values
     rep, values = sum_inverse_values(a, b, c, d)
     text = _quad_text(rep) + "\n" + " ".join(f"{k}={v}" for k, v in values.items())
     return asdict(rep) | values, text
@@ -199,7 +199,7 @@ def _run_command(args) -> int:
 
 def cmd_verify(args) -> int:
     from dataclasses import asdict, replace
-    from .verify import SweepConfig, load_sweep_config, run_all
+    from .verify import SweepConfig, load_sweep_config, run_each
     overrides = {"bound": args.bound, "k_bound": args.k_bound,
                  "gaussian_bound": args.gaussian_bound, "shard_count": args.shards}
     try:
@@ -208,19 +208,22 @@ def cmd_verify(args) -> int:
     except (DomainError, ValueError, OSError) as exc:
         print(f"modrecip verify: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    results = run_all(config, classical_units=args.use_classical_unit_inverse)
+    results = []
+    for r in run_each(config, classical_units=args.use_classical_unit_inverse):
+        results.append(r)
+        if not args.json:  # each suite's line as soon as it ends
+            status = "ok" if r.passed else f"{r.failure_count} FAILED"
+            note = f" ({r.note})" if r.note else ""
+            timing = f"{r.elapsed_s:.2f} s, {r.cases_per_s:.0f} cases/s"
+            line = f"{r.name}: {r.cases} cases, {status}{note} [{timing}]"
+            if not r.passed:
+                line += f"\n  minimal counterexample: {r.failures[0]}"
+            print(line, flush=True)
     passed = all(r.passed for r in results)
     if args.json:
         suites = [asdict(r) | {"cases_per_s": r.cases_per_s} for r in results]
         _emit_json({"passed": passed, "suites": suites})
     else:
-        for r in results:
-            status = "ok" if r.passed else f"{r.failure_count} FAILED"
-            note = f" ({r.note})" if r.note else ""
-            timing = f"{r.elapsed_s:.2f} s, {r.cases_per_s:.0f} cases/s"
-            print(f"{r.name}: {r.cases} cases, {status}{note} [{timing}]")
-            if not r.passed:
-                print(f"  minimal counterexample: {r.failures[0]}")
         print("all suites passed" if passed else "verification FAILED")
     return EXIT_OK if passed else EXIT_COUNTEREXAMPLE
 

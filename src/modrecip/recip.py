@@ -12,21 +12,27 @@ one level up with no division, and :func:`modrecip.core.reciprocal_pair`
 inverts by climbing it.  The identity's two applications build on that climb:
 :func:`inverse_via_reciprocity` returns its first value as an outcome, and
 :func:`solve_diophantine` reads the cofactor of a*x - k*m = 1 off the pair.
-
-:func:`reciprocity_check` takes its report class from the package's lazy
-exports, ``modrecip.ReciprocityReport``, so importing this module loads no :mod:`dataclasses`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-import modrecip
+from dataclasses import dataclass
 
 from .core import InvariantError, InverseOutcome, _outcome, inverse_pair, reciprocal_pair
 
-if TYPE_CHECKING:
-    from .reports import ReciprocityReport
+
+@dataclass(frozen=True)
+class ReciprocityReport:
+    """Both inverses and both sides of the identity for one pair."""
+
+    a: int
+    b: int
+    inv_a_mod_b: int
+    inv_b_mod_a: int
+    lhs: int  # a*inv_a_mod_b + b*inv_b_mod_a
+    rhs: int  # 1 + a*b
+    k: int  # multiplier with lhs = 1 + k*a*b
+    holds: bool
 
 
 def reciprocity_check(a: int, b: int) -> ReciprocityReport:
@@ -37,7 +43,7 @@ def reciprocity_check(a: int, b: int) -> ReciprocityReport:
     k, rem = divmod(lhs - 1, a * b)
     if rem:
         raise InvariantError("lhs - 1 must be a multiple of a*b")
-    return modrecip.ReciprocityReport(
+    return ReciprocityReport(
         a=a,
         b=b,
         inv_a_mod_b=inv_a,

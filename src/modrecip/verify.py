@@ -17,7 +17,7 @@ import math
 import time
 from dataclasses import asdict, dataclass, field
 from itertools import repeat
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .core import (
     MAX_SHARDS,
@@ -41,15 +41,9 @@ from .gaussian import (
     gaussian_inverse,
     inverse_mod_gaussian_linear,
 )
-from .identities import (
-    positive_case_exact,
-    quad_pair_inverses,
-    reduce_inverse_minus,
-    reduce_inverse_plus,
-    shift_invariance,
-    square_inverse,
-)
-from .recip import inverse_via_reciprocity, reciprocity_check
+from .identities import reduce_inverse_minus, reduce_inverse_plus, shift_invariance, square_inverse
+from .quad import positive_case_exact, quad_pair_inverses, sum_inverse_values
+from .recip import inverse_via_reciprocity, reciprocity_check, solve_diophantine
 
 _SAMPLE_LIMIT = 5
 # |a| bound of the unit-modulus table
@@ -247,12 +241,15 @@ def _oracle_cases(config, chunk):
 
 
 def _reciprocity_cases(config, chunk):
-    """a*inv_a + b*inv_b = 1 + a*b over every coprime signed pair, inv_b against a direct inverse."""
+    """a*inv_a + b*inv_b = 1 + a*b over every coprime signed pair, inv_b against a direct
+    inverse; and solve_diophantine's a*x - k*b = 1, with x the windowed inv_a."""
     for a, b in _coprime(chunk, signed_range(config.bound)):
         rep = reciprocity_check(a, b)
+        x, k = solve_diophantine(a, b)
         ok = rep.holds and rep.k == 1 and rep.inv_b_mod_a == inverse(b, a)
+        ok = ok and x == rep.inv_a_mod_b and a * x - k * b == 1
         yield None if ok else (f"a={a} b={b} lhs={rep.lhs} rhs={rep.rhs} k={rep.k}"
-                               f" inv_b={rep.inv_b_mod_a}")
+                               f" inv_b={rep.inv_b_mod_a} solve=({x}, {k})")
 
 
 def _reciprocity_classical_cases(config, chunk):
@@ -342,7 +339,8 @@ def _quad_pairs(config) -> list[tuple[int, int]]:
 
 
 def _quad_cases(config, chunk):
-    """Every cross-pair report flag, plus the exact positive-case value."""
+    """Every cross-pair report flag, plus, for positive quadruples, the exact positive-case
+    value and the four sum-of-squares inverses."""
     pairs = _quad_pairs(config)
     for a, b in chunk:
         for c, d in pairs:
@@ -354,6 +352,11 @@ def _quad_cases(config, chunk):
             ok = rep.all_ok
             if ok and a > 0 and b > 0 and c > 0 and d > 0:
                 ok = positive_case_exact(a, b, c, d) == rep.y[0]
+                if rep.sum_inverse_ok:
+                    _, inv = sum_inverse_values(a, b, c, d)
+                    ok = ok and all((value * n - 1) % modulus == 0 for value, n, modulus in (
+                        (inv["s_inv_mod_u"], rep.s, u), (inv["t_inv_mod_u"], rep.t, u),
+                        (inv["s_inv_mod_v"], rep.s, v), (inv["t_inv_mod_v"], rep.t, v)))
             yield None if ok else f"a={a} b={b} c={c} d={d}"
 
 
@@ -434,10 +437,16 @@ CLASSICAL_UNITS = {
 }
 
 
-def run_all(config: SweepConfig, classical_units: bool = False) -> list[SweepResult]:
-    """Run every sweep; classical-units mode swaps in the counterfactual suites."""
+def run_each(config: SweepConfig, classical_units: bool = False) -> Iterator[SweepResult]:
+    """Run every sweep, yielding each result as its suite finishes; classical-units mode
+    swaps in the counterfactual suites."""
     table = SUITES | CLASSICAL_UNITS if classical_units else SUITES
-    return [suite.run(config) for suite in table.values()]
+    return (suite.run(config) for suite in table.values())
+
+
+def run_all(config: SweepConfig, classical_units: bool = False) -> list[SweepResult]:
+    """Run every sweep, as :func:`run_each` does, and return their results."""
+    return list(run_each(config, classical_units))
 
 
 # One entry point per suite, for callers that run a single sweep.

@@ -4,6 +4,7 @@ import math
 import random
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,7 +15,7 @@ from modrecip.bench import BenchReport
 from modrecip.cli import MAX_OPERAND_BITS, build_parser, main
 from modrecip.core import (DomainError, InvariantError, NotCoprimeError, ZeroOperandError,
                            classical_inverse, inverse, mod_inverse)
-from modrecip.identities import sum_inverse_values
+from modrecip.quad import sum_inverse_values
 from modrecip.verify import SweepResult
 
 
@@ -369,13 +370,35 @@ def test_verify_config_file(tmp_path, capsys):
     assert code_bad == 1 and "not an integer" in err
 
 
+def _fake_suite(run):
+    # a stand-in for a verify.Suite: the engine calls only its run(config)
+    return SimpleNamespace(run=run)
+
+
 def test_verify_counterexample_exit_3(monkeypatch, capsys):
-    fake = [SweepResult("reciprocity", 10, 1, ["a=1 b=1 lhs=3 rhs=2 k=2"])]
-    monkeypatch.setattr(verify, "run_all", lambda config, classical_units=False: fake)
+    fake = SweepResult("reciprocity", 10, 1, ["a=1 b=1 lhs=3 rhs=2 k=2"])
+    monkeypatch.setattr(verify, "SUITES", {"reciprocity": _fake_suite(lambda config: fake)})
     code, out, _ = run(capsys, "verify")
     assert code == 3
     assert "minimal counterexample: a=1 b=1" in out
     assert "verification FAILED" in out
+
+
+def test_verify_prints_each_suite_as_it_ends(monkeypatch, capsys):
+    seen = []
+
+    def second(config):
+        seen.append(capsys.readouterr().out)  # what stdout holds while this suite runs
+        return SweepResult("second", 2, elapsed_s=1.0)
+
+    monkeypatch.setattr(verify, "SUITES", {
+        "first": _fake_suite(lambda config: SweepResult("first", 4, elapsed_s=2.0)),
+        "second": _fake_suite(second),
+    })
+    code, out, _ = run(capsys, "verify")
+    assert code == 0
+    assert seen == ["first: 4 cases, ok [2.00 s, 2 cases/s]\n"]
+    assert out == "second: 2 cases, ok [1.00 s, 2 cases/s]\nall suites passed\n"
 
 
 def test_verify_subject_raise_is_counterexample_exit_3(monkeypatch, tmp_path, capsys):
@@ -416,8 +439,10 @@ def test_bench_parameter_validation(capsys):
     width_error = "modrecip bench: error: bit_width must be in [64, 16384]\n"
     assert run(capsys, "bench", "--bits", "32", "--iters", "5") == (1, "", width_error)
     assert run(capsys, "bench", "--bits", "16385", "--iters", "5") == (1, "", width_error)
-    assert run(capsys, "bench", "--bits", "64", "--iters", "0") == (
-        1, "", "modrecip bench: error: iterations must be at least 1\n")
+    # a trial takes about 83 ms at 16384 bits, so the count is capped as well
+    iterations_error = "modrecip bench: error: iterations must be in [1, 5000]\n"
+    for iters in ("0", "5001"):
+        assert run(capsys, "bench", "--bits", "64", "--iters", iters) == (1, "", iterations_error)
     # Random(-5) draws what Random(5) draws, so the U64 range is enforced
     seed_error = "modrecip bench: error: seed must be in [0, 2**64 - 1]\n"
     for seed in ("-5", str(1 << 64)):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from modrecip import core, identities, verify
+from modrecip import core, quad, verify
 from modrecip.cli import COMMANDS
 from modrecip.core import (
     DomainError,
@@ -19,12 +19,14 @@ from modrecip.core import (
 )
 from modrecip.gaussian import gaussian_bezout_identity, inverse_mod_gaussian_linear
 from modrecip.identities import (
-    positive_case_exact,
-    quad_pair_inverses,
     reduce_inverse_minus,
     reduce_inverse_plus,
     shift_invariance,
     square_inverse,
+)
+from modrecip.quad import (
+    positive_case_exact,
+    quad_pair_inverses,
     sum_inverse_values,
     sum_of_squares_inverses,
 )
@@ -274,7 +276,7 @@ def test_positive_case_rejects():
 def test_positive_case_checks_raise_on_wrong_inverses(monkeypatch):
     # inverses shifted by their modulus are still inverses, but they move
     # x1 and y1 off the exact positive-case values
-    monkeypatch.setattr(identities, "inverse_pair",
+    monkeypatch.setattr(quad, "inverse_pair",
                         lambda a, b: (pow(a, -1, b) + b, pow(b, -1, a) + a))
     with pytest.raises(InvariantError, match="not the inverse"):
         positive_case_exact(3, 2, 1, 2)
@@ -323,12 +325,13 @@ def test_paired_callers_invert_once_per_pair(monkeypatch):
     # the identity's own check takes its pair from inverse_pair
     assert count(reciprocity_check, 7, 3) == 1
     # and the reciprocity sweep holds the pair's second value to a direct
-    # inversion: two inversions for each of the four cases (3, b), |b| <= 2
+    # inversion and runs solve_diophantine, whose pair is one more: three
+    # inversions for each of the four cases (3, b), |b| <= 2
     def sweep_cases():
         return list(verify._reciprocity_cases(verify.SweepConfig(bound=2), [3]))
 
     assert sweep_cases() == [None] * 4
-    assert count(sweep_cases) == 8
+    assert count(sweep_cases) == 12
 
 
 def test_positive_case_sweep_small():

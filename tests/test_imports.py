@@ -1,8 +1,10 @@
 """The package surface resolves names lazily, and one-shot CLI calls import
 only the modules their subcommand runs."""
 
+import ast
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -53,10 +55,10 @@ def test_inverse_commands_import_only_core(argv):
     assert not added & unwanted, sorted(added & unwanted)
 
 
-def test_quad_imports_identities_only():
+def test_quad_imports_the_quad_module_only():
     added = _added_modules("quad", "3", "2", "1", "2")
-    assert "modrecip.identities" in added
-    unwanted = _HEAVY | {"modrecip.gaussian"}
+    assert "modrecip.quad" in added
+    unwanted = _HEAVY | {"modrecip.gaussian", "modrecip.identities"}
     assert not added & unwanted, sorted(added & unwanted)
 
 
@@ -91,7 +93,7 @@ def test_gauss_inv_imports_gaussian_only():
 def test_commands_without_a_report_load_no_dataclasses(argv, code, runs):
     added = _added_modules(*argv, code=code)
     assert runs in added
-    assert not added & {"dataclasses", "modrecip.reports"}, sorted(added)
+    assert not added & {"dataclasses", "modrecip.quad", "modrecip.recip"}, sorted(added)
     assert ("argparse" in added) == (code != 0)  # only the refused operand needs the parser
 
 
@@ -111,15 +113,33 @@ def test_argparse_calls_load_neither_sweeps_nor_bench(argv, code):
     assert not added & (_HEAVY | {"dataclasses"}), sorted(added)
 
 
-@pytest.mark.parametrize("argv", [
-    ("recip", "3", "5"),
-    ("quad", "3", "2", "1", "2"),
-    ("sums", "3", "2", "1", "2"),
+@pytest.mark.parametrize("argv, builder", [
+    (("recip", "3", "5"), "modrecip.recip"),
+    (("quad", "3", "2", "1", "2"), "modrecip.quad"),
+    (("sums", "3", "2", "1", "2"), "modrecip.quad"),
 ], ids=["recip", "quad", "sums"])
-def test_report_commands_load_the_reports(argv):
+def test_report_commands_load_the_reports(argv, builder):
+    # each report record is declared next to the function that builds it
     added = _added_modules(*argv)
-    assert "modrecip.reports" in added
+    assert {builder, "dataclasses"} <= added
     assert not added & (_HEAVY | {"modrecip.gaussian"}), sorted(added)
+
+
+def test_no_submodule_imports_the_package():
+    # a submodule reaches its siblings by relative import, never through modrecip's exports
+    package = Path(modrecip.__file__).parent
+    assert not (package / "reports.py").exists()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            assert not [n for n in names if n.split(".")[0] == "modrecip"], (path.name, names)
+    assert modrecip.ReciprocityReport is modrecip.recip.ReciprocityReport
+    assert modrecip.QuadPairReport is modrecip.quad.QuadPairReport
 
 
 def test_exports_are_the_defining_modules_objects():

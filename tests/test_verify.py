@@ -168,6 +168,21 @@ def _pair_shifted_at_3_mod_5(honest):
     return planted
 
 
+def _solution_shifted_at_3_mod_5(honest):
+    # (x + b, k + a) still solves a*x - k*b = 1, but x leaves b's window
+    def planted(a, b):
+        x, k = honest(a, b)
+        return (x + b, k + a) if abs(a) % 5 == 3 else (x, k)
+    return planted
+
+
+def _t_inverse_mod_v_plus_one(honest):
+    def planted(a, b, c, d):
+        report, values = honest(a, b, c, d)
+        return report, values | {"t_inv_mod_v": values["t_inv_mod_v"] + 1}
+    return planted
+
+
 @pytest.mark.parametrize(
     "module, subject, plant, sweep, failure_count, first",
     [
@@ -188,6 +203,13 @@ def _pair_shifted_at_3_mod_5(honest):
         # a pair off its windows that keeps the identity: only that direct inversion sees it
         pytest.param(recip, "inverse_pair", _pair_shifted_at_3_mod_5, run_reciprocity_sweep,
                      40, "a=-8 b=-7 lhs=57 rhs=57 k=1 inv_b=1", id="reciprocity-shifted-pair"),
+        # solve_diophantine is held to its equation and to the windowed inverse
+        pytest.param(verify, "solve_diophantine", _solution_shifted_at_3_mod_5,
+                     run_reciprocity_sweep, 40, "a=-8 b=-7 lhs=57 rhs=57 k=1 inv_b=-7 solve=(-8, -9)",
+                     id="diophantine-window"),
+        # the sums values are held to s*inv = 1 and t*inv = 1 modulo u and v
+        pytest.param(verify, "sum_inverse_values", _t_inverse_mod_v_plus_one, run_quad_sweep,
+                     64, "a=1 b=1 c=1 d=4", id="sum-inverse-values"),
         # a subject that raises fails its suite once, with the error's type and message
         pytest.param(verify, "square_inverse", _raises_from_4, run_square_sweep, 1,
                      "InvariantError: planted fault", id="raising-subject"),
