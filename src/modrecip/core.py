@@ -7,21 +7,21 @@ value instead of the conventional 0, which is what makes the reciprocity
 identity a*inv(a mod b) + b*inv(b mod a) = 1 + a*b of :mod:`modrecip.recip`
 hold without exceptions.
 
-:func:`inverse` is the one inversion primitive: it returns the int and
-raises ZeroOperandError or NotCoprimeError.  For |m| > 1 it takes one of
-two routes by operand width, both of whose results follow the sign of m.
-Up to a crossover of 1664 bits (_POW_MAX_BITS, measured) it is the
-built-in ``pow(a, -1, m)``, extended Euclid in C.  Above it, where Euclid's
-one big division per quotient dominates, it is the first of
-:func:`reciprocal_pair`, the reciprocity climb: a Euclid descent that keeps
-only its quotients, in Lehmer batches of about twenty quotients per 2x2
-matrix while both operands are wider than _WINDOW_BITS, then a climb that
-builds both inverses of the pair back up from the unit closed form by the
-reduction identity, with no cofactor carried down and no division.  The
-identity certifies the pair the climb ends on, and ``pow`` stays the
-independent oracle the tests hold the climb to.  :func:`inverse_pair` gets
-both inverses of a coprime pair from one inversion and the identity, which
-also certifies them.
+:func:`inverse` and :func:`inverse_pair` raise ZeroOperandError or
+NotCoprimeError.  Each checks its operands once, and that check picks one of
+two routes by operand width; neither function calls the other.  For |m| > 1
+both routes' results follow the sign of m.  Up to a crossover of 1664 bits
+(_POW_MAX_BITS, measured) the inverse is the built-in ``pow(a, -1, m)``,
+extended Euclid in C.  Above it, where Euclid's one big division per
+quotient dominates, it is the first of :func:`reciprocal_pair`, the
+reciprocity climb: a Euclid descent that keeps only its quotients, in Lehmer
+batches of about twenty quotients per 2x2 matrix while both operands are
+wider than _WINDOW_BITS, then a climb that builds both inverses of the pair
+back up from the unit closed form by the reduction identity, with no
+cofactor carried down and no division.  The identity certifies the pair the
+climb ends on, and ``pow`` stays the independent oracle the tests hold the
+climb to.  :func:`inverse_pair` gets both inverses of a coprime pair from one
+inversion by either route and the identity, which also certifies them.
 Every route raises.  Outcomes are built only at the public edge:
 :func:`mod_inverse` and the other outcome routes run their route through one
 adapter, which returns those two failures as an :class:`InverseOutcome`.  It and
@@ -326,7 +326,9 @@ def reciprocal_pair(a: int, m: int) -> tuple[int, int]:
 _POW_MAX_BITS = 1664
 
 
-def _require_coprime(a: int, m: int) -> None:
+def _batched(a: int, m: int) -> bool:
+    """Whether both operands are wider than _POW_MAX_BITS, once they pass the inverse's
+    checks: ZeroOperandError on a zero operand, NotCoprimeError on a shared factor."""
     if a == 0 or m == 0:
         raise ZeroOperandError("inverse needs a nonzero operand and modulus")
     # Either route would find a shared factor by itself, but only after its
@@ -337,10 +339,6 @@ def _require_coprime(a: int, m: int) -> None:
     # 110-112 us against 62-65 us (2 vCPUs, Python 3.11).
     if math.gcd(a, m) != 1:
         raise NotCoprimeError("operand and modulus share a factor")
-
-
-def _batched(a: int, m: int) -> bool:
-    """Whether both operands are wider than _POW_MAX_BITS."""
     return a.bit_length() > _POW_MAX_BITS and m.bit_length() > _POW_MAX_BITS
 
 
@@ -352,12 +350,10 @@ def inverse(a: int, m: int) -> int:
     signed closed form is returned.  Raises ZeroOperandError when
     a*m = 0 and NotCoprimeError when gcd(a, m) != 1.  The value is
     ``pow(a, -1, m)`` while the narrower operand has at most _POW_MAX_BITS
-    bits, and the first of :func:`inverse_pair`, which runs
-    :func:`reciprocal_pair`, above that.
+    bits, and the first of :func:`reciprocal_pair` above that.
     """
     if _batched(a, m):
-        return inverse_pair(a, m)[0]
-    _require_coprime(a, m)
+        return reciprocal_pair(a, m)[0]
     # pow gives 0 only for a unit modulus, which takes the signed closed form
     return pow(a, -1, m) or unit_inverse(a, m)
 
@@ -375,9 +371,8 @@ def inverse_pair(a: int, b: int) -> tuple[int, int]:
     certify both values.
     """
     if _batched(a, b):
-        _require_coprime(a, b)
         return reciprocal_pair(a, b)
-    x = inverse(a, b)
+    x = pow(a, -1, b) or unit_inverse(a, b)
     y, rem = divmod(1 + a * b - a * x, b)
     if rem:
         raise InvariantError("a*inv(a mod b) - 1 is not a multiple of b")

@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, NamedTuple
 
+from .cli import parse_integer
 from .core import (
     MAX_SHARDS,
     DomainError,
@@ -91,21 +92,26 @@ class SweepConfig:
 
 
 def load_sweep_config(path: str) -> SweepConfig:
-    """Read key=value overrides (one per line, # comments) of the default config."""
+    """Read key=value overrides (one per line, # comments) of the default config,
+    each value in the flags' integer grammar."""
     values = asdict(SweepConfig())
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if not sep or key not in values:
-                raise ValueError(f"{path}:{lineno}: expected <bound-name>=<integer>, got {raw.strip()!r}")
-            try:
-                values[key] = int(value, 0)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: {value!r} is not an integer") from None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if not sep or key not in values:
+            raise ValueError(f"{path}:{lineno}: expected <bound-name>=<integer>, got {raw.strip()!r}")
+        try:
+            values[key] = parse_integer(value)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: {value!r} is not an integer") from None
     return SweepConfig(**values)
 
 
@@ -387,10 +393,13 @@ def _gaussian_cases(config, chunk):
 
 
 def _gaussian_linear_cases(config, chunk):
-    """a * inv = 1 (mod a*i + b) for the closed-form Gaussian inverse."""
+    """The Gaussian inverse modulo a*i + b, which checks a * inv = 1 itself, held to
+    inv(a mod b) + i*(a - inv(b mod a)) by two direct inversions; and divides held to
+    refusing the residue -1, since the modulus has norm a^2 + b^2 >= 4."""
     for a, b in _coprime(chunk, signed_range(config.linear_bound)):
         g = inverse_mod_gaussian_linear(a, b)
-        ok = divides(GaussianInteger(b, a), g * a - 1)
+        ok = g == GaussianInteger(inverse(a, b), a - inverse(b, a)) and not divides(
+            GaussianInteger(b, a), g * a - 2)
         yield None if ok else f"a={a} b={b} inverse={g}"
 
 

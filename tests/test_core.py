@@ -390,3 +390,24 @@ def test_inverse_is_pow_at_or_below_the_crossover(monkeypatch):
     a, m = coprime_pair(CROSSOVER + 1, CROSSOVER + 1)
     assert inverse(a, m) == pow(a, -1, m)
     assert calls == [(a, m)]
+
+
+@pytest.mark.parametrize("bits", [64, 4096])
+def test_neither_entry_point_reaches_the_other(monkeypatch, bits):
+    # inverse and inverse_pair each check their operands and take their route
+    # on their own, below the crossover and above it
+    def refuse(a, m):
+        raise AssertionError("one inverse entry point reached the other")
+
+    rng = random.Random(bits)
+    a = -(rng.getrandbits(bits) | 1 << (bits - 1))
+    m = rng.getrandbits(bits) | 1 << (bits - 1)
+    while math.gcd(a, m) != 1:
+        m += 1
+    x, y = pow(a, -1, m), pow(m, -1, a)
+    assert a * x + m * y == 1 + a * m
+    with monkeypatch.context() as patch:
+        patch.setattr(core, "inverse_pair", refuse)
+        assert core.inverse(a, m) == x
+    monkeypatch.setattr(core, "inverse", refuse)
+    assert core.inverse_pair(a, m) == (x, y)

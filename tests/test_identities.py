@@ -285,19 +285,23 @@ def test_positive_case_checks_raise_on_wrong_inverses(monkeypatch):
 
 
 def _count_inversions(monkeypatch) -> list:
-    """Route core.inverse and every module-level alias of it through a counter."""
+    """Route core.inverse, core.inverse_pair and every module-level alias of
+    either through a counter; neither entry point calls the other."""
     calls = []
-    real = core.inverse
 
-    def counted(a, m):
-        calls.append((a, m))
-        return real(a, m)
+    def counter(real):
+        def counted(a, m):
+            calls.append((a, m))
+            return real(a, m)
+        return counted
 
+    counters = [(real, counter(real)) for real in (core.inverse, core.inverse_pair)]
     for module in list(sys.modules.values()):
         if getattr(module, "__name__", "").startswith("modrecip"):
             for name, value in list(vars(module).items()):
-                if value is real:
-                    monkeypatch.setattr(module, name, counted)
+                for real, counted in counters:
+                    if value is real:
+                        monkeypatch.setattr(module, name, counted)
     return calls
 
 

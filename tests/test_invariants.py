@@ -76,28 +76,27 @@ def test_identity_post_checks_survive_optimize_flag():
 def test_inverse_pair_checks_survive_optimize_flag():
     # a wrong inverse of a mod b must make the pair raise, not hand back a
     # wrong partner: off by one it breaks the exact division, shifted by the
-    # modulus it pushes the partner out of its window
+    # modulus it pushes the partner out of its window.  The fault is planted
+    # as core.pow, a module global that shadows the builtin the pow route calls
     script = textwrap.dedent("""
         from modrecip import core
         from modrecip.core import InvariantError
 
-        real = core.inverse
-
         def messages(plant, cases):
-            core.inverse = plant
+            core.pow = plant
             found = []
             for a, b in cases:
                 try:
                     core.inverse_pair(a, b)
                 except InvariantError as exc:
                     found.append(str(exc).split()[-1])
-            core.inverse = real
+            del core.pow
             return ",".join(found)
 
         cases = ((7, 3), (-5, 12), (2**200 + 1, 3**120), (-11, -4))
         print(__debug__,
-              messages(lambda a, m: real(a, m) + 1, cases),
-              messages(lambda a, m: real(a, m) + m, cases))
+              messages(lambda a, e, m: pow(a, e, m) + 1, cases),
+              messages(lambda a, e, m: pow(a, e, m) + m, cases))
     """)
     assert _run_optimized(script) == [
         "False", "b,b,b,b", "window,window,window,window"]

@@ -1,10 +1,12 @@
 import multiprocessing
+import re
 from dataclasses import replace
 
 import pytest
 
-from modrecip import recip, verify
+from modrecip import gaussian, recip, verify
 from modrecip.core import DomainError, InvariantError
+from modrecip.gaussian import GaussianInteger
 from modrecip.verify import (
     SweepConfig,
     load_sweep_config,
@@ -71,11 +73,29 @@ def test_load_sweep_config(tmp_path):
     assert config.k_bound == SweepConfig().k_bound
 
 
-@pytest.mark.parametrize("text", ["bound\n", "mystery=4\n", "bound=abc\n"])
+@pytest.mark.parametrize("text, bound", [("bound=08\n", 8), ("bound = 0x10\n", 16),
+                                         ("bound=+0X1f\n", 31)])
+def test_load_sweep_config_takes_the_flag_grammar(tmp_path, text, bound):
+    # cli.parse_integer, which --bound uses: decimal, leading zeros included,
+    # or hex with a 0x prefix
+    path = tmp_path / "sweep.cfg"
+    path.write_text(text)
+    assert load_sweep_config(str(path)).bound == bound
+
+
+@pytest.mark.parametrize("text", ["bound\n", "mystery=4\n", "bound=abc\n", "bound=0o10\n",
+                                  "bound=0b1000\n"])
 def test_load_sweep_config_rejects(tmp_path, text):
     path = tmp_path / "sweep.cfg"
     path.write_text(text)
     with pytest.raises(ValueError):
+        load_sweep_config(str(path))
+
+
+def test_load_sweep_config_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "sweep.cfg"
+    path.write_bytes(b"\xffbound=8\n")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: 'utf-8' codec can't decode byte 0xff")):
         load_sweep_config(str(path))
 
 
@@ -176,6 +196,14 @@ def _solution_shifted_at_3_mod_5(honest):
     return planted
 
 
+def _linear_shifted_at_3_mod_5(honest):
+    # adding the modulus b + a*i keeps an inverse, but not the documented form
+    def planted(a, b):
+        value = honest(a, b)
+        return value + GaussianInteger(b, a) if abs(a) % 5 == 3 else value
+    return planted
+
+
 def _t_inverse_mod_v_plus_one(honest):
     def planted(a, b, c, d):
         report, values = honest(a, b, c, d)
@@ -210,6 +238,14 @@ def _t_inverse_mod_v_plus_one(honest):
         # the sums values are held to s*inv = 1 and t*inv = 1 modulo u and v
         pytest.param(verify, "sum_inverse_values", _t_inverse_mod_v_plus_one, run_quad_sweep,
                      64, "a=1 b=1 c=1 d=4", id="sum-inverse-values"),
+        # the linear Gaussian inverse is held to two direct inversions, not to the
+        # divisibility it checks itself, and divides to a residue it must refuse
+        pytest.param(verify, "inverse_mod_gaussian_linear", _linear_shifted_at_3_mod_5,
+                     run_gaussian_linear_sweep, 16, "a=-3 b=-5 inverse=-7-4i",
+                     id="gaussian-linear-form"),
+        pytest.param((gaussian, verify), "divides", lambda honest: lambda d, n: True,
+                     run_gaussian_linear_sweep, 68, "a=-6 b=-5 inverse=-1-1i",
+                     id="gaussian-linear-divides"),
         # a subject that raises fails its suite once, with the error's type and message
         pytest.param(verify, "square_inverse", _raises_from_4, run_square_sweep, 1,
                      "InvariantError: planted fault", id="raising-subject"),
@@ -223,7 +259,8 @@ def test_planted_failure_is_shard_invariant(monkeypatch, module, subject, plant,
                                             failure_count, first):
     if multiprocessing.get_start_method() != "fork":
         pytest.skip("the planted failure reaches worker processes only through fork")
-    monkeypatch.setattr(module, subject, plant(getattr(module, subject)))
+    for target in module if isinstance(module, tuple) else (module,):
+        monkeypatch.setattr(target, subject, plant(getattr(target, subject)))
     serial = sweep(SMALL)
     sharded = sweep(replace(SMALL, shard_count=3))
     assert serial.failure_count == failure_count
