@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .cli import parse_integer
+from .cli import _int_arg
 from .core import (
     MAX_SHARDS,
     DomainError,
@@ -32,6 +32,7 @@ from .core import (
     floor_div,
     floor_mod,
     inverse,
+    mod_inverse,
     unit_inverse,
 )
 from .gaussian import (
@@ -93,7 +94,7 @@ class SweepConfig:
 
 def load_sweep_config(path: str) -> SweepConfig:
     """Read key=value overrides (one per line, # comments) of the default config,
-    each value in the flags' integer grammar."""
+    each value by the flags' reader: their integer grammar and operand cap."""
     values = asdict(SweepConfig())
     try:
         with open(path, encoding="utf-8") as fh:
@@ -109,9 +110,9 @@ def load_sweep_config(path: str) -> SweepConfig:
         if not sep or key not in values:
             raise ValueError(f"{path}:{lineno}: expected <bound-name>=<integer>, got {raw.strip()!r}")
         try:
-            values[key] = parse_integer(value)
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: {value!r} is not an integer") from None
+            values[key] = _int_arg(value)
+        except ValueError as exc:  # the flags' refusal: a bad numeral or the operand cap
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return SweepConfig(**values)
 
 
@@ -234,10 +235,10 @@ def _divergence_cases(config, chunk):
 
 
 def _oracle_cases(config, chunk):
-    """Windowed inverse == brute force == reciprocity route, plus Bezout."""
+    """Windowed inverse (mod_inverse) == brute force == reciprocity route, plus Bezout."""
     for m, a in _coprime(chunk, signed_range(config.bound)):
         lo, hi = (1, m - 1) if m > 0 else (m + 1, -1)
-        v = inverse(a, m)
+        v = mod_inverse(a, m).expect()
         ok = lo <= v <= hi and a * v % m == 1 % m
         ok = ok and v == brute_force_inverse(a, m).expect()
         ok = ok and v == inverse_via_reciprocity(a, m).expect()
@@ -345,8 +346,9 @@ def _quad_pairs(config) -> list[tuple[int, int]]:
 
 
 def _quad_cases(config, chunk):
-    """Every cross-pair report flag, plus, for positive quadruples, the exact positive-case
-    value and the four sum-of-squares inverses."""
+    """Every cross-pair report flag and x_i*y_i = 1 modulo u or v, checked here; plus, for
+    positive quadruples, the exact positive-case value and, when gcd(u, v) = 1, the four
+    sum-of-squares inverses, whose report is the one checked."""
     pairs = _quad_pairs(config)
     for a, b in chunk:
         for c, d in pairs:
@@ -354,15 +356,19 @@ def _quad_cases(config, chunk):
             v = a * d - b * c
             if abs(u) <= 1 or abs(v) <= 1:
                 continue
-            rep = quad_pair_inverses(a, b, c, d)
-            ok = rep.all_ok
-            if ok and a > 0 and b > 0 and c > 0 and d > 0:
-                ok = positive_case_exact(a, b, c, d) == rep.y[0]
-                if rep.sum_inverse_ok:
-                    _, inv = sum_inverse_values(a, b, c, d)
-                    ok = ok and all((value * n - 1) % modulus == 0 for value, n, modulus in (
-                        (inv["s_inv_mod_u"], rep.s, u), (inv["t_inv_mod_u"], rep.t, u),
-                        (inv["s_inv_mod_v"], rep.s, v), (inv["t_inv_mod_v"], rep.t, v)))
+            positive = a > 0 and b > 0 and c > 0 and d > 0
+            sums = positive and math.gcd(u, v) == 1
+            rep, inv = (sum_inverse_values(a, b, c, d) if sums
+                        else (quad_pair_inverses(a, b, c, d), None))
+            (x1, x2, x3, x4), (y1, y2, y3, y4) = rep.x, rep.y
+            ok = rep.all_ok and (x1 * y1 - 1) % u == 0 and (x2 * y2 - 1) % u == 0
+            ok = ok and (x3 * y3 - 1) % v == 0 and (x4 * y4 - 1) % v == 0
+            if ok and positive:
+                ok = positive_case_exact(a, b, c, d) == y1
+            if ok and sums:
+                ok = all((value * n - 1) % modulus == 0 for value, n, modulus in (
+                    (inv["s_inv_mod_u"], rep.s, u), (inv["t_inv_mod_u"], rep.t, u),
+                    (inv["s_inv_mod_v"], rep.s, v), (inv["t_inv_mod_v"], rep.t, v)))
             yield None if ok else f"a={a} b={b} c={c} d={d}"
 
 
@@ -458,7 +464,8 @@ def run_all(config: SweepConfig, classical_units: bool = False) -> list[SweepRes
     return list(run_each(config, classical_units))
 
 
-# One entry point per suite, for callers that run a single sweep.
+# The run_* names are kept only for perfbench/layers.py, which runs each suite by
+# one of them; ROADMAP item 1 moves it onto the SUITES keys and deletes this block.
 run_division_law_sweep = SUITES["division-law"].run
 run_unit_modulus_sweep = SUITES["unit-modulus-table"].run
 run_divergence_sweep = SUITES["classical-divergence"].run
@@ -468,15 +475,12 @@ run_square_sweep = SUITES["square-inverse"].run
 run_quad_sweep = SUITES["quad-pair"].run
 run_gaussian_sweep = SUITES["gaussian-inverse"].run
 run_gaussian_linear_sweep = SUITES["gaussian-linear"].run
+run_unit_contradiction_fixture = SUITES["unit-contradiction-fixture"].run
 
 
-def run_reciprocity_sweep(config: SweepConfig, classical_units: bool = False) -> SweepResult:
+def run_reciprocity_sweep(config: SweepConfig, classical_units: bool) -> SweepResult:
     return (CLASSICAL_UNITS if classical_units else SUITES)["reciprocity"].run(config)
 
 
-def run_reduction_sweep(config: SweepConfig, classical_units: bool = False) -> SweepResult:
+def run_reduction_sweep(config: SweepConfig, classical_units: bool) -> SweepResult:
     return (CLASSICAL_UNITS if classical_units else SUITES)["reduction"].run(config)
-
-
-def run_unit_contradiction_fixture(config: SweepConfig | None = None) -> SweepResult:
-    return SUITES["unit-contradiction-fixture"].run(config or SweepConfig())

@@ -11,16 +11,7 @@ from modrecip.bench import run_bench
 from modrecip.cli import main
 from modrecip.core import classical_inverse, mod_inverse
 from modrecip.identities import reduce_inverse_plus
-from modrecip.verify import (
-    SweepConfig,
-    run_gaussian_sweep,
-    run_oracle_sweep,
-    run_quad_sweep,
-    run_reciprocity_sweep,
-    run_reduction_sweep,
-    run_shift_invariance_sweep,
-    run_square_sweep,
-)
+from modrecip.verify import SUITES, SweepConfig
 
 
 def _report(capsys, criterion, elapsed, budget):
@@ -61,7 +52,7 @@ def test_criterion_1_unit_inverse_regression(capsys):
 
 def test_criterion_2_reciprocity_exhaustive(capsys):
     t0 = time.perf_counter()
-    result = run_reciprocity_sweep(SweepConfig(bound=64))
+    result = SUITES["reciprocity"].run(SweepConfig(bound=64))
     elapsed = time.perf_counter() - t0
     assert result.passed, result.failures
     assert result.cases == 10076  # every coprime pair with 1 <= |a|,|b| <= 64
@@ -71,7 +62,7 @@ def test_criterion_2_reciprocity_exhaustive(capsys):
 
 def test_criterion_3_oracle_equivalence(capsys):
     t0 = time.perf_counter()
-    result = run_oracle_sweep(SweepConfig(bound=200))
+    result = SUITES["inverse-oracles"].run(SweepConfig(bound=200))
     elapsed = time.perf_counter() - t0
     assert result.passed, result.failures
     assert result.cases == 97052  # coprime (a, m), 1 < |m| <= 200, |a| <= 200
@@ -83,10 +74,10 @@ def test_criterion_4_corollary_sweeps(capsys):
     config = SweepConfig()  # stated bounds: 40 (shift, reduce), 30 (square), 12 (quad)
     t0 = time.perf_counter()
     results = [
-        run_shift_invariance_sweep(config),
-        run_reduction_sweep(config),
-        run_square_sweep(config),
-        run_quad_sweep(config),
+        SUITES["shift-invariance"].run(config),
+        SUITES["reduction"].run(config),
+        SUITES["square-inverse"].run(config),
+        SUITES["quad-pair"].run(config),
     ]
     elapsed = time.perf_counter() - t0
     for result in results:
@@ -131,7 +122,7 @@ def test_criterion_4_corollary_sweeps(capsys):
 
 def test_criterion_5_gaussian_sweep(capsys):
     t0 = time.perf_counter()
-    result = run_gaussian_sweep(SweepConfig())  # components in [-8, 8] \ {0}
+    result = SUITES["gaussian-inverse"].run(SweepConfig())  # components in [-8, 8] \ {0}
     elapsed = time.perf_counter() - t0
     assert result.passed, result.failures
     assert result.cases == 39168

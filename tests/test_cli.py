@@ -367,7 +367,16 @@ def test_verify_config_file(tmp_path, capsys):
     assert code_bad == 1
     cfg.write_text("bound=oops\n")
     code_bad, _, err = run(capsys, "verify", "--config", str(cfg))
-    assert code_bad == 1 and "not an integer" in err
+    assert code_bad == 1 and f"{cfg}:1: invalid integer 'oops'" in err
+
+
+def test_verify_config_value_takes_the_operand_cap(tmp_path, capsys):
+    # the flags' reader refuses an over-long numeral before parsing it, and does not echo it
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("bound=" + "1" * 10**6 + "\n")
+    code, out, err = run(capsys, "verify", "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert err == f"modrecip verify: error: {cfg}:1: operand exceeds the 65536-bit cap\n"
 
 
 def _fake_suite(run):

@@ -4,25 +4,15 @@ from dataclasses import replace
 
 import pytest
 
-from modrecip import gaussian, recip, verify
-from modrecip.core import DomainError, InvariantError
+from modrecip import gaussian, quad, recip, verify
+from modrecip.core import DomainError, InverseOutcome, InvariantError
 from modrecip.gaussian import GaussianInteger
 from modrecip.verify import (
+    CLASSICAL_UNITS,
+    SUITES,
     SweepConfig,
     load_sweep_config,
     run_all,
-    run_divergence_sweep,
-    run_division_law_sweep,
-    run_gaussian_linear_sweep,
-    run_gaussian_sweep,
-    run_oracle_sweep,
-    run_quad_sweep,
-    run_reciprocity_sweep,
-    run_reduction_sweep,
-    run_shift_invariance_sweep,
-    run_square_sweep,
-    run_unit_contradiction_fixture,
-    run_unit_modulus_sweep,
     signed_range,
 )
 
@@ -180,6 +170,21 @@ def _first_plus_one_at_3_mod_5(honest):
     return planted
 
 
+def _outcome_plus_one_at_3_mod_5(honest):
+    def planted(a, m):
+        return InverseOutcome(honest(a, m).expect() + (abs(a) % 5 == 3))
+    return planted
+
+
+def _x1_plus_one_at_3_mod_5(honest):
+    # the report keeps the flags computed on the honest x1, so they still read all_ok
+    def planted(a, b, c, d):
+        report = honest(a, b, c, d)
+        x1, *rest = report.x
+        return replace(report, x=(x1 + (abs(a) % 5 == 3), *rest))
+    return planted
+
+
 def _pair_shifted_at_3_mod_5(honest):
     # (x + b, y - a) leaves a*x + b*y unchanged, so the identity still holds
     def planted(a, b):
@@ -212,57 +217,72 @@ def _t_inverse_mod_v_plus_one(honest):
 
 
 @pytest.mark.parametrize(
-    "module, subject, plant, sweep, failure_count, first",
+    "module, subject, plant, suite, failure_count, first",
     [
         pytest.param(verify, "square_inverse", lambda honest: lambda a, b: honest(a, b) + (a > 3),
-                     run_square_sweep, 20, "a=4 b=-5 ", id="square-inverse"),
-        pytest.param(verify, "gaussian_inverse", _wrong_residue, run_gaussian_sweep, 640,
+                     SUITES["square-inverse"], 20, "a=4 b=-5 ", id="square-inverse"),
+        pytest.param(verify, "gaussian_inverse", _wrong_residue, SUITES["gaussian-inverse"], 640,
                      "z=-3-3i w=-3-2i", id="gaussian-residue"),
-        pytest.param(verify, "extended_gcd", _cofactor_off_by_m, run_oracle_sweep, 140,
+        pytest.param(verify, "extended_gcd", _cofactor_off_by_m, SUITES["inverse-oracles"], 140,
                      "a=-7 m=-8 inverse=-7", id="extended-gcd-cofactor"),
-        pytest.param(verify, "gaussian_inverse", _representative_plus_wz, run_gaussian_sweep, 640,
-                     "z=-3-3i w=-3-2i", id="gaussian-representative"),
+        pytest.param(verify, "gaussian_inverse", _representative_plus_wz,
+                     SUITES["gaussian-inverse"], 640, "z=-3-3i w=-3-2i",
+                     id="gaussian-representative"),
+        # the oracle suite takes its windowed value from mod_inverse
+        pytest.param(verify, "mod_inverse", _outcome_plus_one_at_3_mod_5,
+                     SUITES["inverse-oracles"], 32, "a=-3 m=-8 inverse=-2", id="mod-inverse"),
         # the climb behind inverse_via_reciprocity, patched where recip binds it
-        pytest.param(recip, "reciprocal_pair", _first_plus_one_at_3_mod_5, run_oracle_sweep,
-                     32, "a=-3 m=-8 inverse=-3", id="reciprocal-pair-first"),
+        pytest.param(recip, "reciprocal_pair", _first_plus_one_at_3_mod_5,
+                     SUITES["inverse-oracles"], 32, "a=-3 m=-8 inverse=-3",
+                     id="reciprocal-pair-first"),
         # the reciprocity sweep's direct inversion of (b, a) checks the report's partner
-        pytest.param(verify, "inverse", _plus_one_at_3_mod_5, run_reciprocity_sweep,
+        pytest.param(verify, "inverse", _plus_one_at_3_mod_5, SUITES["reciprocity"],
                      40, "a=-8 b=-3 lhs=25 rhs=25 k=1 inv_b=-3", id="reciprocity-partner"),
         # a pair off its windows that keeps the identity: only that direct inversion sees it
-        pytest.param(recip, "inverse_pair", _pair_shifted_at_3_mod_5, run_reciprocity_sweep,
+        pytest.param(recip, "inverse_pair", _pair_shifted_at_3_mod_5, SUITES["reciprocity"],
                      40, "a=-8 b=-7 lhs=57 rhs=57 k=1 inv_b=1", id="reciprocity-shifted-pair"),
         # solve_diophantine is held to its equation and to the windowed inverse
         pytest.param(verify, "solve_diophantine", _solution_shifted_at_3_mod_5,
-                     run_reciprocity_sweep, 40, "a=-8 b=-7 lhs=57 rhs=57 k=1 inv_b=-7 solve=(-8, -9)",
+                     SUITES["reciprocity"], 40, "a=-8 b=-7 lhs=57 rhs=57 k=1 inv_b=-7 solve=(-8, -9)",
                      id="diophantine-window"),
         # the sums values are held to s*inv = 1 and t*inv = 1 modulo u and v
-        pytest.param(verify, "sum_inverse_values", _t_inverse_mod_v_plus_one, run_quad_sweep,
-                     64, "a=1 b=1 c=1 d=4", id="sum-inverse-values"),
+        pytest.param(verify, "sum_inverse_values", _t_inverse_mod_v_plus_one,
+                     SUITES["quad-pair"], 64, "a=1 b=1 c=1 d=4", id="sum-inverse-values"),
+        # x_i*y_i = 1 modulo u or v is checked by the sweep, not read from the report's flags;
+        # quad binds the name too, for the report that sum_inverse_values builds
+        pytest.param((quad, verify), "quad_pair_inverses", _x1_plus_one_at_3_mod_5,
+                     SUITES["quad-pair"], 368, "a=-3 b=-4 c=-4 d=-3", id="quad-pair-values"),
         # the linear Gaussian inverse is held to two direct inversions, not to the
         # divisibility it checks itself, and divides to a residue it must refuse
         pytest.param(verify, "inverse_mod_gaussian_linear", _linear_shifted_at_3_mod_5,
-                     run_gaussian_linear_sweep, 16, "a=-3 b=-5 inverse=-7-4i",
+                     SUITES["gaussian-linear"], 16, "a=-3 b=-5 inverse=-7-4i",
                      id="gaussian-linear-form"),
         pytest.param((gaussian, verify), "divides", lambda honest: lambda d, n: True,
-                     run_gaussian_linear_sweep, 68, "a=-6 b=-5 inverse=-1-1i",
+                     SUITES["gaussian-linear"], 68, "a=-6 b=-5 inverse=-1-1i",
                      id="gaussian-linear-divides"),
+        # gaussian.inverse_pair off its windows keeps the norms' Bezout identity, so only
+        # gaussian-linear, which holds its pair to two direct inversions, sees the shift
+        pytest.param(gaussian, "inverse_pair", _pair_shifted_at_3_mod_5,
+                     SUITES["gaussian-linear"], 16, "a=-3 b=-5 inverse=-7-4i",
+                     id="gaussian-pair-shifted"),
+        pytest.param(gaussian, "inverse_pair", _first_plus_one_at_3_mod_5,
+                     SUITES["gaussian-inverse"], 352, "z=-3-3i w=-3-2i", id="gaussian-pair-first"),
         # a subject that raises fails its suite once, with the error's type and message
-        pytest.param(verify, "square_inverse", _raises_from_4, run_square_sweep, 1,
+        pytest.param(verify, "square_inverse", _raises_from_4, SUITES["square-inverse"], 1,
                      "InvariantError: planted fault", id="raising-subject"),
         # and a raising classical-units suite reports no count of designed breaks
-        pytest.param(verify, "unit_inverse", _raises_from_4,
-                     lambda config: run_reduction_sweep(config, classical_units=True), 1,
+        pytest.param(verify, "unit_inverse", _raises_from_4, CLASSICAL_UNITS["reduction"], 1,
                      "InvariantError: planted fault", id="raising-classical-subject"),
     ],
 )
-def test_planted_failure_is_shard_invariant(monkeypatch, module, subject, plant, sweep,
+def test_planted_failure_is_shard_invariant(monkeypatch, module, subject, plant, suite,
                                             failure_count, first):
     if multiprocessing.get_start_method() != "fork":
         pytest.skip("the planted failure reaches worker processes only through fork")
     for target in module if isinstance(module, tuple) else (module,):
         monkeypatch.setattr(target, subject, plant(getattr(target, subject)))
-    serial = sweep(SMALL)
-    sharded = sweep(replace(SMALL, shard_count=3))
+    serial = suite.run(SMALL)
+    sharded = suite.run(replace(SMALL, shard_count=3))
     assert serial.failure_count == failure_count
     assert len(serial.failures) == min(failure_count, 5)
     assert serial.failures[0].startswith(first)
@@ -271,19 +291,19 @@ def test_planted_failure_is_shard_invariant(monkeypatch, module, subject, plant,
 
 
 def test_results_are_timed():
-    result = run_quad_sweep(SMALL)
+    result = SUITES["quad-pair"].run(SMALL)
     assert result.elapsed_s > 0
     assert result.cases_per_s == pytest.approx(result.cases / result.elapsed_s)
 
 
 def test_classical_units_mode_reports_designed_breaks_only():
-    recip = run_reciprocity_sweep(SMALL, classical_units=True)
+    recip = CLASSICAL_UNITS["reciprocity"].run(SMALL)
     assert recip.passed
     assert recip.name == "reciprocity-classical-units"
     assert "designed breaks" in recip.note
     assert int(recip.note.split()[0]) > 0
 
-    red = run_reduction_sweep(SMALL, classical_units=True)
+    red = CLASSICAL_UNITS["reduction"].run(SMALL)
     assert red.passed
     assert int(red.note.split()[0]) > 0
 
@@ -293,34 +313,36 @@ _SMALL_COUNTS = dict(SMALL_CASES) | {name: cases for name, cases, _ in SMALL_CLA
 
 
 @pytest.mark.parametrize(
-    "sweep, args, name",
+    "alias, args, name",
     [
-        pytest.param(run_division_law_sweep, (SMALL,), "division-law",
+        pytest.param("run_division_law_sweep", (SMALL,), "division-law",
                      id="run_division_law_sweep"),
-        pytest.param(run_unit_modulus_sweep, (SMALL,), "unit-modulus-table",
+        pytest.param("run_unit_modulus_sweep", (SMALL,), "unit-modulus-table",
                      id="run_unit_modulus_sweep"),
-        pytest.param(run_divergence_sweep, (SMALL,), "classical-divergence",
+        pytest.param("run_divergence_sweep", (SMALL,), "classical-divergence",
                      id="run_divergence_sweep"),
-        pytest.param(run_oracle_sweep, (SMALL,), "inverse-oracles", id="run_oracle_sweep"),
-        pytest.param(run_reciprocity_sweep, (SMALL,), "reciprocity", id="run_reciprocity_sweep"),
-        pytest.param(run_reciprocity_sweep, (SMALL, True), "reciprocity-classical-units",
+        pytest.param("run_oracle_sweep", (SMALL,), "inverse-oracles", id="run_oracle_sweep"),
+        pytest.param("run_reciprocity_sweep", (SMALL, False), "reciprocity",
+                     id="run_reciprocity_sweep"),
+        pytest.param("run_reciprocity_sweep", (SMALL, True), "reciprocity-classical-units",
                      id="run_reciprocity_sweep-classical_units"),
-        pytest.param(run_shift_invariance_sweep, (SMALL,), "shift-invariance",
+        pytest.param("run_shift_invariance_sweep", (SMALL,), "shift-invariance",
                      id="run_shift_invariance_sweep"),
-        pytest.param(run_reduction_sweep, (SMALL,), "reduction", id="run_reduction_sweep"),
-        pytest.param(run_reduction_sweep, (SMALL, True), "reduction-classical-units",
+        pytest.param("run_reduction_sweep", (SMALL, False), "reduction", id="run_reduction_sweep"),
+        pytest.param("run_reduction_sweep", (SMALL, True), "reduction-classical-units",
                      id="run_reduction_sweep-classical_units"),
-        pytest.param(run_square_sweep, (SMALL,), "square-inverse", id="run_square_sweep"),
-        pytest.param(run_quad_sweep, (SMALL,), "quad-pair", id="run_quad_sweep"),
-        pytest.param(run_gaussian_sweep, (SMALL,), "gaussian-inverse", id="run_gaussian_sweep"),
-        pytest.param(run_gaussian_linear_sweep, (SMALL,), "gaussian-linear",
+        pytest.param("run_square_sweep", (SMALL,), "square-inverse", id="run_square_sweep"),
+        pytest.param("run_quad_sweep", (SMALL,), "quad-pair", id="run_quad_sweep"),
+        pytest.param("run_gaussian_sweep", (SMALL,), "gaussian-inverse", id="run_gaussian_sweep"),
+        pytest.param("run_gaussian_linear_sweep", (SMALL,), "gaussian-linear",
                      id="run_gaussian_linear_sweep"),
-        pytest.param(run_unit_contradiction_fixture, (), "unit-contradiction-fixture",
+        pytest.param("run_unit_contradiction_fixture", (SMALL,), "unit-contradiction-fixture",
                      id="run_unit_contradiction_fixture"),
     ],
 )
-def test_each_sweep_individually(sweep, args, name):
-    # an entry point that ran another suite would report that suite's name and count
-    result = sweep(*args)
+def test_each_sweep_individually(alias, args, name):
+    # the verify.run_* aliases that perfbench/layers.py calls, named as it names them; an
+    # alias that ran another suite would report that suite's name and count
+    result = getattr(verify, alias)(*args)
     assert result.passed, result.failures
     assert (result.name, result.cases) == (name, _SMALL_COUNTS[name])
