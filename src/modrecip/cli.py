@@ -23,7 +23,7 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .core import (MAX_BITS, MAX_SHARDS, MIN_BITS, DomainError, NotCoprimeError,
-                   ZeroOperandError, inverse)
+                   ZeroOperandError, _quoted, inverse)
 
 if TYPE_CHECKING:
     import argparse
@@ -55,7 +55,7 @@ def _capped(text: str, parse: Callable, kind: str, parts: Callable):
         try:
             value = parse(text)
         except ValueError:
-            raise _Refused(f"invalid {kind} {text!r}") from None
+            raise _Refused(f"invalid {kind} {_quoted(text)}") from None
         if all(n.bit_length() <= MAX_OPERAND_BITS for n in parts(value)):
             return value
     raise _Refused(f"operand exceeds the {MAX_OPERAND_BITS}-bit cap")

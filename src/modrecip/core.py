@@ -7,21 +7,25 @@ value instead of the conventional 0, which is what makes the reciprocity
 identity a*inv(a mod b) + b*inv(b mod a) = 1 + a*b of :mod:`modrecip.recip`
 hold without exceptions.
 
-:func:`inverse` and :func:`inverse_pair` raise ZeroOperandError or
-NotCoprimeError.  Each checks its operands once, and that check picks one of
-two routes by operand width; neither function calls the other.  For |m| > 1
-both routes' results follow the sign of m.  Up to a crossover of 1664 bits
-(_POW_MAX_BITS, measured) the inverse is the built-in ``pow(a, -1, m)``,
-extended Euclid in C.  Above it, where Euclid's one big division per
-quotient dominates, it is the first of :func:`reciprocal_pair`, the
-reciprocity climb: a Euclid descent that keeps only its quotients, in Lehmer
-batches of about twenty quotients per 2x2 matrix while both operands are
-wider than _WINDOW_BITS, then a climb that builds both inverses of the pair
-back up from the unit closed form by the reduction identity, with no
-cofactor carried down and no division.  The identity certifies the pair the
-climb ends on, and ``pow`` stays the independent oracle the tests hold the
-climb to.  :func:`inverse_pair` gets both inverses of a coprime pair from one
-inversion by either route and the identity, which also certifies them.
+That identity is the one certificate of every pair of inverses handed out here.
+For coprime nonzero a, b, units included, (x, y) = (inv(a mod b), inv(b mod a))
+is the only pair with a*x + b*y = 1 + a*b, x in [0, b] or [b, 0] and y in [0, a]
+or [a, 0].  It meets all three, and two pairs that meet the identity differ by
+t*(b, -a); the closed windows give |t| <= 1, and t = +-1 puts one pair at (b, 0),
+where the left side is a*b.  :func:`_certified` checks it; ``python -O`` keeps the check.
+
+:func:`inverse` and :func:`inverse_pair` raise ZeroOperandError or NotCoprimeError.
+Each checks its operands once, and that check picks one of two routes by operand
+width; neither function calls the other.  For |m| > 1 both routes' results follow
+the sign of m.  Up to a crossover of 1664 bits (_POW_MAX_BITS, measured) the inverse
+is the built-in ``pow(a, -1, m)``, extended Euclid in C.  Above it, where Euclid's
+one big division per quotient dominates, it is the first of :func:`reciprocal_pair`,
+the reciprocity climb: a Euclid descent that keeps only its quotients, in Lehmer
+batches of about twenty quotients per 2x2 matrix while both operands are wider than
+_WINDOW_BITS, then a climb that builds both inverses of the pair back up from the
+unit closed form by the reduction identity, with no cofactor carried down and no
+division.  ``pow`` stays the independent oracle the tests hold the climb to, and
+:func:`inverse_pair` gets both inverses from one inversion by either route.
 Every route raises.  Outcomes are built only at the public edge:
 :func:`mod_inverse` and the other outcome routes run their route through one
 adapter, which returns those two failures as an :class:`InverseOutcome`.  It and
@@ -59,6 +63,11 @@ class DomainError(ValueError):
 
 class InvariantError(ArithmeticError):
     """A result failed its own post-check: a fault in the code, not the input."""
+
+
+def _quoted(text: str) -> str:
+    """A refusal's quote of text: its repr, or past 40 characters a prefix's and its length."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
 
 
 class InverseFailure(Enum):
@@ -254,6 +263,13 @@ def _batched_descent(x: int, y: int) -> tuple[int, int, list[tuple[int, int, int
     return x, y, steps
 
 
+def _certified(a: int, b: int, x: int, y: int, miss: int) -> tuple[int, int]:
+    """(x, y), once it passes the module's certificate; miss is 1 + a*b - a*x - b*y."""
+    if miss or not (0 <= x <= b or b <= x <= 0) or not (0 <= y <= a or a <= y <= 0):
+        raise InvariantError("the pair fails the identity or leaves its closed windows")
+    return x, y
+
+
 def reciprocal_pair(a: int, m: int) -> tuple[int, int]:
     """(inv(a mod m), inv(m mod a)) for nonzero a, m, both certified by the identity.
 
@@ -277,12 +293,10 @@ def reciprocal_pair(a: int, m: int) -> tuple[int, int]:
     replaces about twenty big divisions with eight small-by-large multiplies
     (four down, four up).
 
-    Either way the climb ends on both inverses of (a, m), and the identity
-    a*P + m*S = 1 + a*m, with P and S in their windows, certifies the two
-    together for two multiplications and no division.  The check raises
-    InvariantError, so ``python -O`` keeps it.  Raises ZeroOperandError on a
-    zero operand and NotCoprimeError when a remainder vanishes, which is a
-    shared factor.
+    Either way the climb ends on both inverses of (a, m), and the module's
+    certificate checks the two together for two multiplications and no
+    division.  Raises ZeroOperandError on a zero operand and NotCoprimeError
+    when a remainder vanishes, which is a shared factor.
     """
     if a == 0 or m == 0:
         raise ZeroOperandError("reciprocity needs nonzero operands")
@@ -310,11 +324,7 @@ def reciprocal_pair(a: int, m: int) -> tuple[int, int]:
         for u0, v0, u1, v1 in reversed(batches):
             u, v = u0 * u + u1 * v, v0 * u + v1 * v
         p, s = (u if a > 0 else -u) % m, (v if m > 0 else -v) % a
-    # a*p + m*s = 1 + a*m, one product fewer
-    if a * p + m * (s - a) != 1 or not (0 <= p <= m or m <= p <= 0) or not (
-            0 <= s <= a or a <= s <= 0):
-        raise InvariantError("reciprocity climb did not end on the identity's windowed pair")
-    return p, s
+    return _certified(a, m, p, s, 1 - a * p - m * (s - a))  # one product fewer
 
 
 # The built-in pow(a, -1, m) is plain Euclid in C, one big division per
@@ -362,23 +372,16 @@ def inverse_pair(a: int, b: int) -> tuple[int, int]:
     """Both inverses of a pair, (inv(a mod b), inv(b mod a)), for one inversion.
 
     Raises what :func:`inverse` raises, which is symmetric in a and b.  On
-    the batched route the climb of :func:`reciprocal_pair`
-    ends on both values and certifies them by the reciprocity identity
-    a*inv(a mod b) + b*inv(b mod a) = 1 + a*b.  On the ``pow`` route the
-    identity gives the partner by one exact division once inv(a mod b) is
-    known: a nonzero remainder, or a partner outside its window [0, a] /
-    [a, 0], raises InvariantError; for |a| > 1 the two checks together
-    certify both values.
+    the batched route both values are :func:`reciprocal_pair`'s.  On the
+    ``pow`` route the identity gives the partner by one exact division once
+    inv(a mod b) is known, and that division's remainder is the miss of the
+    module's certificate, which checks the pair as it checks the climb's.
     """
     if _batched(a, b):
         return reciprocal_pair(a, b)
     x = pow(a, -1, b) or unit_inverse(a, b)
     y, rem = divmod(1 + a * b - a * x, b)
-    if rem:
-        raise InvariantError("a*inv(a mod b) - 1 is not a multiple of b")
-    if not (0 <= y <= a or a <= y <= 0):
-        raise InvariantError("the partner inverse left its window")
-    return x, y
+    return _certified(a, b, x, y, rem)
 
 
 def _outcome(route: Callable[[int, int], int], a: int, m: int) -> InverseOutcome:

@@ -11,7 +11,8 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .core import DomainError, InvariantError, ZeroOperandError, _Value, inverse, inverse_pair
+from .core import (DomainError, InvariantError, ZeroOperandError, _Value, _quoted, inverse,
+                   inverse_pair)
 
 
 class GaussianInteger(_Value):
@@ -184,6 +185,6 @@ def parse_gaussian(text: str) -> GaussianInteger:
     s = text if _SPLIT_NUMERAL.search(text) else text.replace(" ", "")
     m = _NUMERAL.fullmatch(s) if s else None
     if m is None:
-        raise ValueError(f"not a Gaussian integer: {text!r}")
+        raise ValueError(f"not a Gaussian integer: {_quoted(text)}")
     real, sign, digits = m.groups()
     return GaussianInteger(int(real or 0), 0 if sign is None else int(sign + (digits or "1")))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import InvariantError, InverseOutcome, _outcome, inverse_pair, reciprocal_pair
+from .core import InverseOutcome, _outcome, inverse_pair, reciprocal_pair
 
 
 @dataclass(frozen=True)
@@ -40,9 +40,7 @@ def reciprocity_check(a: int, b: int) -> ReciprocityReport:
     inv_a, inv_b = inverse_pair(a, b)
     lhs = a * inv_a + b * inv_b
     rhs = 1 + a * b
-    k, rem = divmod(lhs - 1, a * b)
-    if rem:
-        raise InvariantError("lhs - 1 must be a multiple of a*b")
+    k = (lhs - 1) // (a * b)
     return ReciprocityReport(
         a=a,
         b=b,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -26,6 +26,7 @@ from .core import (
     InvariantError,
     NotCoprimeError,
     ZeroOperandError,
+    _quoted,
     brute_force_inverse,
     classical_inverse,
     extended_gcd,
@@ -95,7 +96,7 @@ class SweepConfig:
 def load_sweep_config(path: str) -> SweepConfig:
     """Read key=value overrides (one per line, # comments) of the default config,
     each value by the flags' reader: their integer grammar and operand cap."""
-    values = asdict(SweepConfig())
+    values = {}
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -107,8 +108,8 @@ def load_sweep_config(path: str) -> SweepConfig:
             continue
         key, sep, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if not sep or key not in values:
-            raise ValueError(f"{path}:{lineno}: expected <bound-name>=<integer>, got {raw.strip()!r}")
+        if not sep or key not in _LIMITS:
+            raise ValueError(f"{path}:{lineno}: expected <bound-name>=<integer>, got {_quoted(raw.strip())}")
         try:
             values[key] = _int_arg(value)
         except ValueError as exc:  # the flags' refusal: a bad numeral or the operand cap

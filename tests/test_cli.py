@@ -78,6 +78,18 @@ def test_hex_operand_grammar(text, want, capsys):
     assert (proc.returncode, proc.stdout, proc.stderr) == outcome
 
 
+@pytest.mark.parametrize("argv", [["inv", "--"], ["gauss-inv", "--"]], ids=["inv", "gauss-inv"])
+def test_refusals_quote_a_bounded_part_of_the_operand(argv, capsys):
+    # up to 40 characters the whole operand is quoted; past that a prefix and
+    # the length, so a long malformed operand does not come back on stderr
+    kind = "integer" if argv[0] == "inv" else "Gaussian integer"
+    for text, quote in ((("1" * 39 + "x"), repr("1" * 39 + "x")),
+                        ("1" * 60000 + "x", f"{'1' * 40!r}... (60001 characters)")):
+        code, out, err = run(capsys, *argv, text, "7")
+        assert (code, out) == (1, "")
+        assert err.endswith(f"invalid {kind} {quote}\n") and len(err.encode()) <= 300
+
+
 def test_inv_undefined_exit_codes(capsys):
     code, out, _ = run(capsys, "inv", "2", "4", "--json")
     assert code == 2

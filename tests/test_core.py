@@ -147,6 +147,35 @@ def test_inverse_pair_matches_two_inversions():
             assert _pair_or_error(a, b, inverse_pair) == want, (a, b)
 
 
+def _true_inverse(a, m):
+    return unit_inverse(a, m) if abs(m) == 1 else brute_force_inverse(a, m).expect()
+
+
+@pytest.mark.parametrize("plant", [
+    pytest.param(lambda a, e, m: pow(a, e, m) + m, id="plus-modulus"),
+    pytest.param(lambda a, e, m: pow(a, e, m) - m, id="minus-modulus"),
+    pytest.param(lambda a, e, m: pow(a, e, m) + 1, id="plus-one"),
+])
+def test_pow_route_returns_no_wrong_pair(monkeypatch, plant):
+    # a wrong inv(a mod b) from pow must raise or, where the plant happens to give
+    # the right value (+-b at b = +-1), come back as the true pair; a unit operand
+    # leaves the partner in its window, so only b's window can catch it there
+    pairs = [(a, b) for a in range(-12, 13) for b in range(-12, 13)
+             if a and b and math.gcd(a, b) == 1]
+    assert len(pairs) == 364
+    truth = {(a, b): (_true_inverse(a, b), _true_inverse(b, a)) for a, b in pairs}
+    monkeypatch.setattr(core, "pow", plant, raising=False)
+    wrong = []
+    for a, b in pairs:
+        try:
+            got = inverse_pair(a, b)
+        except (core.InvariantError, DomainError):
+            continue
+        if got != truth[a, b]:
+            wrong.append((a, b, got))
+    assert wrong == []
+
+
 wide = st.integers(64, 8192).flatmap(lambda bits: st.integers(1 << (bits - 1), (1 << bits) - 1))
 signed_wide = st.tuples(wide, st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
 

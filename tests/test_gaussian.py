@@ -216,6 +216,16 @@ def test_parse_gaussian_rejects(text):
         parse_gaussian(text)
 
 
+def test_parse_gaussian_quotes_a_bounded_part_of_the_text():
+    # up to 40 characters the whole text, past that a prefix and the length
+    with pytest.raises(ValueError, match=r"^not a Gaussian integer: '1\+i1'$"):
+        parse_gaussian("1+i1")
+    text = "7" * 5000 + "x"
+    with pytest.raises(ValueError) as info:
+        parse_gaussian(text)
+    assert str(info.value) == f"not a Gaussian integer: {'7' * 40!r}... (5001 characters)"
+
+
 def test_format_gaussian_forms():
     assert format_gaussian(G(3, -3)) == "3-3i"
     assert format_gaussian(G(-1, 0)) == "-1"

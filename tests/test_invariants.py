@@ -75,31 +75,35 @@ def test_identity_post_checks_survive_optimize_flag():
 
 def test_inverse_pair_checks_survive_optimize_flag():
     # a wrong inverse of a mod b must make the pair raise, not hand back a
-    # wrong partner: off by one it breaks the exact division, shifted by the
-    # modulus it pushes the partner out of its window.  The fault is planted
-    # as core.pow, a module global that shadows the builtin the pow route calls
+    # wrong partner, when asserts are stripped: off by one it breaks the exact
+    # division, shifted by the modulus it leaves a window, b's alone when a is
+    # a unit.  Every catch is the one certificate's.  The fault is planted as
+    # core.pow, a module global that shadows the builtin the pow route calls
     script = textwrap.dedent("""
         from modrecip import core
-        from modrecip.core import InvariantError
+        from modrecip.core import DomainError, InvariantError
 
-        def messages(plant, cases):
+        def outcomes(plant, cases):
             core.pow = plant
-            found = []
             for a, b in cases:
                 try:
-                    core.inverse_pair(a, b)
-                except InvariantError as exc:
-                    found.append(str(exc).split()[-1])
+                    print("returned", core.inverse_pair(a, b))
+                except (DomainError, InvariantError) as exc:
+                    print(f"{type(exc).__name__}: {exc}")
             del core.pow
-            return ",".join(found)
 
-        cases = ((7, 3), (-5, 12), (2**200 + 1, 3**120), (-11, -4))
-        print(__debug__,
-              messages(lambda a, e, m: pow(a, e, m) + 1, cases),
-              messages(lambda a, e, m: pow(a, e, m) + m, cases))
+        cases = ((7, 3), (-5, 12), (2**200 + 1, 3**120), (-11, -4), (1, 5), (-1, -7))
+        print(__debug__)
+        outcomes(lambda a, e, m: pow(a, e, m) + 1, cases)
+        outcomes(lambda a, e, m: pow(a, e, m) + m, cases)
     """)
-    assert _run_optimized(script) == [
-        "False", "b,b,b,b", "window,window,window,window"]
+    proc = run_python("-O", "-c", script)
+    assert proc.returncode == 0, proc.stderr
+    certificate = "InvariantError: the pair fails the identity or leaves its closed windows"
+    # pow(-1, -1, -7) + 1 is 0, which hands the call to the unit closed form,
+    # and that refuses the non-unit modulus
+    refused = "DomainError: unit_inverse needs |m| = 1"
+    assert proc.stdout.splitlines() == ["False", *[certificate] * 5, refused, *[certificate] * 6]
 
 
 def test_batch_climb_check_survives_optimize_flag():

@@ -1,10 +1,11 @@
+import json
 import multiprocessing
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
-from modrecip import gaussian, quad, recip, verify
+from modrecip import cli, gaussian, quad, recip, verify
 from modrecip.core import DomainError, InverseOutcome, InvariantError
 from modrecip.gaussian import GaussianInteger
 from modrecip.verify import (
@@ -82,6 +83,29 @@ def test_load_sweep_config_rejects(tmp_path, text):
         load_sweep_config(str(path))
 
 
+@pytest.mark.parametrize("text, quote", [
+    pytest.param("mystery=" + "1" * 1000, "expected <bound-name>=<integer>, got "
+                 f"{'mystery=' + '1' * 32!r}... (1008 characters)", id="unknown-key"),
+    # past the interpreter's int/str digit limit, which cli.main lifts
+    pytest.param("bound=" + "1" * 5000, f"invalid integer {'1' * 40!r}... (5000 characters)",
+                 id="digit-limit"),
+    pytest.param("bound=oops", "invalid integer 'oops'", id="short"),
+])
+def test_load_sweep_config_quotes_a_bounded_part_of_the_line(tmp_path, text, quote):
+    path = tmp_path / "sweep.cfg"
+    path.write_text(text + "\n")
+    with pytest.raises(ValueError) as info:
+        load_sweep_config(str(path))
+    assert str(info.value) == f"{path}:1: {quote}"
+
+
+def test_config_keys_are_the_limited_fields():
+    # load_sweep_config reads its key set from _LIMITS, and SweepConfig checks
+    # each field against it, so the two must name the same nine keys
+    assert sorted(verify._LIMITS) == sorted(f.name for f in fields(SweepConfig))
+    assert len(verify._LIMITS) == 9
+
+
 def test_load_sweep_config_names_a_file_that_is_not_utf8(tmp_path):
     path = tmp_path / "sweep.cfg"
     path.write_bytes(b"\xffbound=8\n")
@@ -124,6 +148,25 @@ def test_sharding_is_result_invariant():
         if classical_units:
             expected = [SMALL_CLASSICAL.get(entry[0], entry) for entry in expected]
         assert _outcomes(serial) == [(name, cases, 0, [], note) for name, cases, note in expected]
+
+
+@pytest.mark.parametrize("flags", [[], ["--use-classical-unit-inverse"]], ids=["default", "classical"])
+def test_verify_json_contract(tmp_path, capsys, flags):
+    # the whole `verify --json` object at SMALL, timings cut, as the SMALL tables give it
+    path = tmp_path / "small.cfg"
+    path.write_text("".join(f"{f.name}={getattr(SMALL, f.name)}\n" for f in fields(SMALL)))
+    assert cli.main(["verify", "--json", "--config", str(path), *flags]) == 0
+    out = capsys.readouterr().out
+    data = json.loads(out)
+    assert out == json.dumps(data, sort_keys=True) + "\n"
+    for suite in data["suites"]:
+        assert suite.pop("elapsed_s") >= 0 and suite.pop("cases_per_s") >= 0
+    expected = [(name, cases, "") for name, cases in SMALL_CASES]
+    if flags:
+        expected = [SMALL_CLASSICAL.get(entry[0], entry) for entry in expected]
+    assert data == {"passed": True, "suites": [
+        {"name": name, "cases": cases, "failure_count": 0, "failures": [], "note": note}
+        for name, cases, note in expected]}
 
 
 def _wrong_residue(honest):
