@@ -16,18 +16,18 @@ where the left side is a*b.  :func:`_certified` checks it; ``python -O`` keeps t
 
 :func:`inverse` and :func:`inverse_pair` raise ZeroOperandError or NotCoprimeError.
 Each checks its operands once, and that check picks one of two routes by operand
-width; neither function calls the other.  For |m| > 1 both routes' results follow
-the sign of m.  Up to a crossover of 1664 bits (_POW_MAX_BITS, measured) the inverse
-is the built-in ``pow(a, -1, m)``, extended Euclid in C.  Above it, where Euclid's
-one big division per quotient dominates, it is the first of :func:`reciprocal_pair`,
-the reciprocity climb: a Euclid descent that keeps only its quotients, in Lehmer
-batches of about twenty quotients per 2x2 matrix while both operands are wider than
-_WINDOW_BITS, then a climb that builds both inverses of the pair back up from the
-unit closed form by the reduction identity, with no cofactor carried down and no
-division.  ``pow`` stays the independent oracle the tests hold the climb to, and
-:func:`inverse_pair` gets both inverses from one inversion by either route.
-Every route raises.  Outcomes are built only at the public edge:
-:func:`mod_inverse` and the other outcome routes run their route through one
+width, and a unit modulus takes the closed form; neither function calls the other.
+For |m| > 1 both routes' results follow the sign of m.  Up to a crossover of 1664 bits
+(_POW_MAX_BITS, measured) the inverse is the built-in ``pow(a, -1, m)``, extended
+Euclid in C.  Above it, where Euclid's one big division per quotient dominates, it is
+the first of :func:`reciprocal_pair`, the reciprocity climb: a Euclid descent that
+keeps only its quotients, in Lehmer batches of about twenty quotients per 2x2 matrix
+while both operands are wider than _WINDOW_BITS, then a climb that builds both
+inverses of the pair back up from the unit closed form by the reduction identity, with
+no cofactor carried down and no division.  ``pow`` stays the independent oracle the
+tests hold the climb to, and :func:`inverse_pair` gets both inverses from one
+inversion by either route.  Every route raises.  Outcomes are built only at the public
+edge: :func:`mod_inverse` and the other outcome routes run their route through one
 adapter, which returns those two failures as an :class:`InverseOutcome`.  It and
 :class:`modrecip.gaussian.GaussianInteger` share :class:`_Value`, the one value form:
 immutable slots, not a dataclass, so ``modrecip inv`` never imports :mod:`dataclasses`
@@ -359,13 +359,16 @@ def inverse(a: int, m: int) -> int:
     [1, m-1] (m positive) or [m+1, -1] (m negative).  For |m| = 1 the
     signed closed form is returned.  Raises ZeroOperandError when
     a*m = 0 and NotCoprimeError when gcd(a, m) != 1.  The value is
-    ``pow(a, -1, m)`` while the narrower operand has at most _POW_MAX_BITS
-    bits, and the first of :func:`reciprocal_pair` above that.
+    ``pow(a, -1, m)``, held to the window, while the narrower operand has at
+    most _POW_MAX_BITS bits, and the first of :func:`reciprocal_pair` above that.
     """
     if _batched(a, m):
         return reciprocal_pair(a, m)[0]
-    # pow gives 0 only for a unit modulus, which takes the signed closed form
-    return pow(a, -1, m) or unit_inverse(a, m)
+    if abs(m) == 1:
+        return unit_inverse(a, m)
+    if 0 < (x := pow(a, -1, m)) < m or m < x < 0:  # the open window: 0 is no inverse at |m| > 1
+        return x
+    raise InvariantError("pow's inverse leaves its open window")
 
 
 def inverse_pair(a: int, b: int) -> tuple[int, int]:
@@ -379,7 +382,7 @@ def inverse_pair(a: int, b: int) -> tuple[int, int]:
     """
     if _batched(a, b):
         return reciprocal_pair(a, b)
-    x = pow(a, -1, b) or unit_inverse(a, b)
+    x = unit_inverse(a, b) if abs(b) == 1 else pow(a, -1, b)
     y, rem = divmod(1 + a * b - a * x, b)
     return _certified(a, b, x, y, rem)
 

@@ -138,16 +138,17 @@ def gaussian_inverse(
 
 
 def gaussian_bezout_identity(a: int, b: int, c: int, d: int) -> bool:
-    """Exact check of (a+ib)u + (c+id)v = 1 + (a+ib)(c+id)(a-ib)(c-id)."""
+    """Exact check of (a+ib)u + (c+id)v = 1 + (a+ib)(c+id)(a-ib)(c-id).
+
+    u = (a-ib)*inv(s mod t) and v = (c-id)*inv(t mod s) for the norms s and t of a+ib
+    and c+id; the right side is evaluated as 1 + s*t, since z*conj(z) is the norm of z.
+    """
     z = GaussianInteger(a, b)
     w = GaussianInteger(c, d)
     s, t = _check_inverse_hypotheses(z, w)
     inv_st, inv_ts = inverse_pair(s, t)
-    u = z.conjugate() * inv_st
-    v = w.conjugate() * inv_ts
-    lhs = z * u + w * v
-    rhs = 1 + z * w * z.conjugate() * w.conjugate()
-    return lhs == rhs
+    lhs = z * (z.conjugate() * inv_st) + w * (w.conjugate() * inv_ts)
+    return lhs == GaussianInteger(1 + s * t, 0)
 
 
 def inverse_mod_gaussian_linear(a: int, b: int) -> GaussianInteger:

@@ -58,9 +58,9 @@ def square_inverse(a: int, b: int) -> int:
     if abs(a) <= 1:
         raise DomainError("square_inverse needs |a| > 1")
     i = inverse(b, a)
-    mm = a * a
-    form1 = ((b * i - 2) * i % mm) ** 2 % mm
-    form2 = (3 - 2 * b * i) * i * i % mm
+    bi, mm = b * i, a * a
+    form1 = ((bi - 2) * i % mm) ** 2 % mm
+    form2 = (3 - 2 * bi) * i * i % mm
     if form1 != form2:
         raise InvariantError("the two square-inverse forms disagree")
     return form1

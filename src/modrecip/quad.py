@@ -41,10 +41,8 @@ class QuadPairReport:
 
     @property
     def all_ok(self) -> bool:
-        flags = self.pair_inverse_ok + (self.sum_inverse_ok or ()) + (
-            self.proof_identity_ok or ()
-        )
-        return all(flags)
+        optional = (self.sum_inverse_ok or ()) + (self.proof_identity_ok or ())
+        return all(self.pair_inverse_ok + optional)
 
 
 def _cross_terms(
@@ -79,6 +77,11 @@ def quad_pair_inverses(a: int, b: int, c: int, d: int) -> QuadPairReport:
     Needs gcd(a,b) = gcd(c,d) = 1 and |u| > 1, |v| > 1.  The sum and
     proof-identity flags stay None unless gcd(u, v) = 1.  The report takes
     two inversions, one pair each for (a, b) and (c, d).
+
+    Each pair flag is one remainder.  The sum and proof flags share e1 = s*y1 - v,
+    e2 = t*x1 - v, e3 = s*y4 - u and e4 = t*x4 - u: each proof flag compares its e
+    with u*z1, u*z2, -v*z1 or v*z3, and each sum flag is True when that holds, as
+    e = n*z is 0 modulo n, and only otherwise takes e % u or e % v.
     """
     if math.gcd(a, b) != 1 or math.gcd(c, d) != 1:
         raise NotCoprimeError("both (a,b) and (c,d) must be coprime pairs")
@@ -108,18 +111,10 @@ def quad_pair_inverses(a: int, b: int, c: int, d: int) -> QuadPairReport:
     if math.gcd(u, v) == 1:
         # v is a unit modulo u, so y1*inv(v mod u) inverts s modulo u iff
         # s*y1 = v (mod u); and so on.  No inverse modulo u or v is needed.
-        sum_ok = (
-            (s * y1 - v) % u == 0,
-            (t * x1 - v) % u == 0,
-            (s * y4 - u) % v == 0,
-            (t * x4 - u) % v == 0,
-        )
-        proof_ok = (
-            s * y1 == v + u * z1,
-            t * x1 == v + u * z2,
-            s * y4 == u - v * z1,
-            t * x4 == u + v * z3,
-        )
+        e1, e2, e3, e4 = s * y1 - v, t * x1 - v, s * y4 - u, t * x4 - u
+        proof_ok = (e1 == u * z1, e2 == u * z2, e3 == -v * z1, e4 == v * z3)
+        sum_ok = (proof_ok[0] or e1 % u == 0, proof_ok[1] or e2 % u == 0,
+                  proof_ok[2] or e3 % v == 0, proof_ok[3] or e4 % v == 0)
 
     return QuadPairReport(
         a=a,

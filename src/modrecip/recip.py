@@ -38,9 +38,9 @@ class ReciprocityReport:
 def reciprocity_check(a: int, b: int) -> ReciprocityReport:
     """Report whether lhs = 1 + a*b exactly for the pair of :func:`modrecip.core.inverse_pair`."""
     inv_a, inv_b = inverse_pair(a, b)
-    lhs = a * inv_a + b * inv_b
-    rhs = 1 + a * b
-    k = (lhs - 1) // (a * b)
+    lhs, ab = a * inv_a + b * inv_b, a * b
+    rhs = 1 + ab
+    k = (lhs - 1) // ab
     return ReciprocityReport(
         a=a,
         b=b,

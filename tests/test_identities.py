@@ -236,6 +236,54 @@ def test_quad_product_flags_equal_reinversion_flags():
     assert checked == 44576
 
 
+def _direct_flags(rep):
+    """The sum and proof flags, each evaluated by its own remainder or identity."""
+    s, t, u, v = rep.s, rep.t, rep.u, rep.v
+    (x1, _, _, x4), (y1, _, _, y4), (z1, z2, z3) = rep.x, rep.y, rep.z
+    sum_ok = ((s * y1 - v) % u == 0, (t * x1 - v) % u == 0,
+              (s * y4 - u) % v == 0, (t * x4 - u) % v == 0)
+    proof_ok = (s * y1 == v + u * z1, t * x1 == v + u * z2,
+                s * y4 == u - v * z1, t * x4 == u + v * z3)
+    return sum_ok, proof_ok
+
+
+# each plant moves one cross term off its closed form: a shifted z breaks the
+# proof identities that read it and no sum flag; y1 moved by u breaks the first
+# proof identity and keeps its residue, and y1 moved by 1 breaks both
+_PROOF_FAULTS = {
+    "z1 + 1": (lambda x, y, z, u: (x, y, (z[0] + 1, z[1], z[2])), {0, 2}, set()),
+    "z2 + 1": (lambda x, y, z, u: (x, y, (z[0], z[1] + 1, z[2])), {1}, set()),
+    "z3 + 1": (lambda x, y, z, u: (x, y, (z[0], z[1], z[2] + 1)), {3}, set()),
+    "y1 + u": (lambda x, y, z, u: (x, (y[0] + u, *y[1:]), z), {0}, set()),
+    "y1 + 1": (lambda x, y, z, u: (x, (y[0] + 1, *y[1:]), z), {0}, {0}),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_PROOF_FAULTS))
+def test_quad_sum_flags_after_a_failed_proof_identity(monkeypatch, fault):
+    # a sum flag is read off its proof identity when that holds, so only a
+    # failed identity reaches the remainder; each flag must still equal its
+    # own direct test there
+    plant, broken_proofs, broken_sums = _PROOF_FAULTS[fault]
+    real = quad._cross_terms
+    monkeypatch.setattr(quad, "_cross_terms",
+                        lambda a, b, c, d: plant(*real(a, b, c, d), a * c + b * d))
+    checked = 0
+    for (a, b), (c, d) in itertools.product(coprime_pairs(5), repeat=2):
+        try:
+            rep = quad_pair_inverses(a, b, c, d)
+        except DomainError:
+            continue
+        if rep.sum_inverse_ok is None:
+            continue
+        sum_ok, proof_ok = _direct_flags(rep)
+        assert (rep.sum_inverse_ok, rep.proof_identity_ok) == (sum_ok, proof_ok), (a, b, c, d)
+        assert {i for i, ok in enumerate(proof_ok) if not ok} == broken_proofs, (a, b, c, d)
+        assert {i for i, ok in enumerate(sum_ok) if not ok} == broken_sums, (a, b, c, d)
+        checked += 1
+    assert checked > 1000
+
+
 _wide = st.integers(256, 4096).flatmap(lambda bits: st.integers(1 << (bits - 1), (1 << bits) - 1))
 _signed_wide = st.tuples(_wide, st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
 

@@ -77,33 +77,37 @@ def test_inverse_pair_checks_survive_optimize_flag():
     # a wrong inverse of a mod b must make the pair raise, not hand back a
     # wrong partner, when asserts are stripped: off by one it breaks the exact
     # division, shifted by the modulus it leaves a window, b's alone when a is
-    # a unit.  Every catch is the one certificate's.  The fault is planted as
-    # core.pow, a module global that shadows the builtin the pow route calls
+    # a unit.  Every catch is the one certificate's.  A 0 at a non-unit modulus
+    # is a fault too, not a unit modulus: the pair's certificate catches it, and
+    # inverse, which has no partner to check, holds pow's value to its open
+    # window, which also catches a shift by the modulus.  The fault is planted
+    # as core.pow, a module global that shadows the builtin the pow route calls
     script = textwrap.dedent("""
         from modrecip import core
         from modrecip.core import DomainError, InvariantError
 
-        def outcomes(plant, cases):
+        def outcomes(route, plant, cases):
             core.pow = plant
             for a, b in cases:
                 try:
-                    print("returned", core.inverse_pair(a, b))
+                    print("returned", route(a, b))
                 except (DomainError, InvariantError) as exc:
                     print(f"{type(exc).__name__}: {exc}")
             del core.pow
 
         cases = ((7, 3), (-5, 12), (2**200 + 1, 3**120), (-11, -4), (1, 5), (-1, -7))
         print(__debug__)
-        outcomes(lambda a, e, m: pow(a, e, m) + 1, cases)
-        outcomes(lambda a, e, m: pow(a, e, m) + m, cases)
+        outcomes(core.inverse_pair, lambda a, e, m: pow(a, e, m) + 1, cases)
+        outcomes(core.inverse_pair, lambda a, e, m: pow(a, e, m) + m, cases)
+        outcomes(core.inverse_pair, lambda a, e, m: 0, cases)
+        outcomes(core.inverse, lambda a, e, m: 0, cases)
+        outcomes(core.inverse, lambda a, e, m: pow(a, e, m) + m, cases)
     """)
     proc = run_python("-O", "-c", script)
     assert proc.returncode == 0, proc.stderr
     certificate = "InvariantError: the pair fails the identity or leaves its closed windows"
-    # pow(-1, -1, -7) + 1 is 0, which hands the call to the unit closed form,
-    # and that refuses the non-unit modulus
-    refused = "DomainError: unit_inverse needs |m| = 1"
-    assert proc.stdout.splitlines() == ["False", *[certificate] * 5, refused, *[certificate] * 6]
+    window = "InvariantError: pow's inverse leaves its open window"
+    assert proc.stdout.splitlines() == ["False", *[certificate] * 18, *[window] * 12]
 
 
 def test_batch_climb_check_survives_optimize_flag():
