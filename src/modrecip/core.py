@@ -14,9 +14,9 @@ or [a, 0].  It meets all three, and two pairs that meet the identity differ by
 t*(b, -a); the closed windows give |t| <= 1, and t = +-1 puts one pair at (b, 0),
 where the left side is a*b.  :func:`_certified` checks it; ``python -O`` keeps the check.
 
-:func:`inverse` and :func:`inverse_pair` raise ZeroOperandError or NotCoprimeError.
-Each checks its operands once, and that check picks one of two routes by operand
-width, and a unit modulus takes the closed form; neither function calls the other.
+:func:`inverse` is the first value of :func:`inverse_pair`; one check, one certificate.
+The pair raises ZeroOperandError or NotCoprimeError from one operand check, which then
+picks one of two routes by operand width, and a unit modulus takes the closed form.
 For |m| > 1 both routes' results follow the sign of m.  Up to a crossover of 1664 bits
 (_POW_MAX_BITS, measured) the inverse is the built-in ``pow(a, -1, m)``, extended
 Euclid in C.  Above it, where Euclid's one big division per quotient dominates, it is
@@ -336,10 +336,31 @@ def reciprocal_pair(a: int, m: int) -> tuple[int, int]:
 _POW_MAX_BITS = 1664
 
 
-def _batched(a: int, m: int) -> bool:
-    """Whether both operands are wider than _POW_MAX_BITS, once they pass the inverse's
-    checks: ZeroOperandError on a zero operand, NotCoprimeError on a shared factor."""
-    if a == 0 or m == 0:
+def inverse(a: int, m: int) -> int:
+    """Inverse of a modulo m in the sign-following window: the first value of
+    :func:`inverse_pair`, so one check and one certificate.
+
+    For |m| > 1 the result x satisfies a*x = 1 (mod m) with x in
+    [1, m-1] (m positive) or [m+1, -1] (m negative).  For |m| = 1 the
+    signed closed form is returned.  Raises ZeroOperandError when
+    a*m = 0 and NotCoprimeError when gcd(a, m) != 1.
+    """
+    return inverse_pair(a, m)[0]
+
+
+def inverse_pair(a: int, b: int) -> tuple[int, int]:
+    """Both inverses of a pair, (inv(a mod b), inv(b mod a)), for one inversion.
+
+    One operand check raises ZeroOperandError on a zero operand and
+    NotCoprimeError on a shared factor, which is symmetric in a and b, and
+    picks the route.  While the narrower operand has at most _POW_MAX_BITS
+    bits, inv(a mod b) is ``pow(a, -1, b)``, or the closed form at a unit
+    modulus, and the identity gives the partner by one exact division; that
+    division's remainder is the miss of the module's certificate.  Above the
+    crossover both values are :func:`reciprocal_pair`'s, which checks the
+    same certificate on the pair its climb ends on.
+    """
+    if a == 0 or b == 0:
         raise ZeroOperandError("inverse needs a nonzero operand and modulus")
     # Either route would find a shared factor by itself, but only after its
     # Euclid run; this gcd makes the rejection near free.  Without it every
@@ -347,43 +368,12 @@ def _batched(a: int, m: int) -> bool:
     # benchmark's wide-inverse mix, where one pair in eight shares a factor,
     # the median call moved from its 256-bit cluster to its 1024-bit one:
     # 110-112 us against 62-65 us (2 vCPUs, Python 3.11).
-    if math.gcd(a, m) != 1:
+    if math.gcd(a, b) != 1:
         raise NotCoprimeError("operand and modulus share a factor")
-    return a.bit_length() > _POW_MAX_BITS and m.bit_length() > _POW_MAX_BITS
-
-
-def inverse(a: int, m: int) -> int:
-    """Inverse of a modulo m in the sign-following window.
-
-    For |m| > 1 the result x satisfies a*x = 1 (mod m) with x in
-    [1, m-1] (m positive) or [m+1, -1] (m negative).  For |m| = 1 the
-    signed closed form is returned.  Raises ZeroOperandError when
-    a*m = 0 and NotCoprimeError when gcd(a, m) != 1.  The value is
-    ``pow(a, -1, m)``, held to the window, while the narrower operand has at
-    most _POW_MAX_BITS bits, and the first of :func:`reciprocal_pair` above that.
-    """
-    if _batched(a, m):
-        return reciprocal_pair(a, m)[0]
-    if abs(m) == 1:
-        return unit_inverse(a, m)
-    if 0 < (x := pow(a, -1, m)) < m or m < x < 0:  # the open window: 0 is no inverse at |m| > 1
-        return x
-    raise InvariantError("pow's inverse leaves its open window")
-
-
-def inverse_pair(a: int, b: int) -> tuple[int, int]:
-    """Both inverses of a pair, (inv(a mod b), inv(b mod a)), for one inversion.
-
-    Raises what :func:`inverse` raises, which is symmetric in a and b.  On
-    the batched route both values are :func:`reciprocal_pair`'s.  On the
-    ``pow`` route the identity gives the partner by one exact division once
-    inv(a mod b) is known, and that division's remainder is the miss of the
-    module's certificate, which checks the pair as it checks the climb's.
-    """
-    if _batched(a, b):
+    if a.bit_length() > _POW_MAX_BITS and b.bit_length() > _POW_MAX_BITS:
         return reciprocal_pair(a, b)
     x = unit_inverse(a, b) if abs(b) == 1 else pow(a, -1, b)
-    y, rem = divmod(1 + a * b - a * x, b)
+    y, rem = divmod(1 + a * (b - x), b)  # 1 + a*b - a*x, one product fewer
     return _certified(a, b, x, y, rem)
 
 

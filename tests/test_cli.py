@@ -78,6 +78,26 @@ def test_hex_operand_grammar(text, want, capsys):
     assert (proc.returncode, proc.stdout, proc.stderr) == outcome
 
 
+def test_unicode_decimal_digits(capsys):
+    # int() and the Gaussian pattern's \d take any Unicode decimal digit:
+    # Arabic-Indic (U+0661, U+0662) and fullwidth (U+FF13) here
+    assert run(capsys, "inv", "\u0661\u0662", "7") == (0, "3\n", "")
+    assert run(capsys, "inv", "\uff13", "7") == (0, "5\n", "")
+    # the plain path takes only an ASCII negative, so this one goes through
+    # argparse, whose negative-number pattern reads it as an operand
+    assert cli._plain_call(["inv", "-\u0661\u0662", "7"]) is None
+    assert run(capsys, "inv", "-\u0661\u0662", "7") == (0, "4\n", "")
+    assert run(capsys, "inv", "--", "-\u0661\u0662", "7") == (0, "4\n", "")
+    code, out, _ = run(capsys, "gauss-inv", "\uff13+2i", "3+5i")
+    assert code == 0 and out.endswith("canonical 1+2i\n")
+
+
+@pytest.mark.parametrize("text", ["1_0+2i", "0x10+2i"])
+def test_gaussian_components_take_no_underscore_or_hex(text, capsys):
+    code, out, err = run(capsys, "gauss-inv", text, "3+5i")
+    assert (code, out) == (1, "") and f"invalid Gaussian integer {text!r}" in err
+
+
 @pytest.mark.parametrize("argv", [["inv", "--"], ["gauss-inv", "--"]], ids=["inv", "gauss-inv"])
 def test_refusals_quote_a_bounded_part_of_the_operand(argv, capsys):
     # up to 40 characters the whole operand is quoted; past that a prefix and

@@ -151,24 +151,34 @@ def _true_inverse(a, m):
     return unit_inverse(a, m) if abs(m) == 1 else brute_force_inverse(a, m).expect()
 
 
-@pytest.mark.parametrize("plant", [
-    pytest.param(lambda a, e, m: pow(a, e, m) + m, id="plus-modulus"),
-    pytest.param(lambda a, e, m: pow(a, e, m) - m, id="minus-modulus"),
-    pytest.param(lambda a, e, m: pow(a, e, m) + 1, id="plus-one"),
+_POW_PLANTS = {
+    "plus-modulus": lambda a, e, m: pow(a, e, m) + m,
+    "minus-modulus": lambda a, e, m: pow(a, e, m) - m,
+    "plus-one": lambda a, e, m: pow(a, e, m) + 1,
+    "zero": lambda a, e, m: 0,
+}
+
+
+@pytest.mark.parametrize("route, plant", [
+    *(pytest.param(inverse_pair, plant, id=name) for name, plant in _POW_PLANTS.items()),
+    *(pytest.param(inverse, plant, id=f"inverse-{name}") for name, plant in _POW_PLANTS.items()),
 ])
-def test_pow_route_returns_no_wrong_pair(monkeypatch, plant):
+def test_pow_route_returns_no_wrong_pair(monkeypatch, route, plant):
     # a wrong inv(a mod b) from pow must raise or, where the plant happens to give
     # the right value (+-b at b = +-1), come back as the true pair; a unit operand
-    # leaves the partner in its window, so only b's window can catch it there
+    # leaves the partner in its window, so only b's window can catch it there.
+    # inverse hands out the pair's first value, so the same certificate guards it
     pairs = [(a, b) for a in range(-12, 13) for b in range(-12, 13)
              if a and b and math.gcd(a, b) == 1]
     assert len(pairs) == 364
     truth = {(a, b): (_true_inverse(a, b), _true_inverse(b, a)) for a, b in pairs}
+    if route is inverse:
+        truth = {pair: want[0] for pair, want in truth.items()}
     monkeypatch.setattr(core, "pow", plant, raising=False)
     wrong = []
     for a, b in pairs:
         try:
-            got = inverse_pair(a, b)
+            got = route(a, b)
         except (core.InvariantError, DomainError):
             continue
         if got != truth[a, b]:
@@ -422,21 +432,22 @@ def test_inverse_is_pow_at_or_below_the_crossover(monkeypatch):
 
 
 @pytest.mark.parametrize("bits", [64, 4096])
-def test_neither_entry_point_reaches_the_other(monkeypatch, bits):
-    # inverse and inverse_pair each check their operands and take their route
-    # on their own, below the crossover and above it
-    def refuse(a, m):
-        raise AssertionError("one inverse entry point reached the other")
-
+def test_inverse_is_the_first_of_one_pair_call(monkeypatch, bits):
+    # one operand check, one route and one certificate: inverse is the first
+    # value of exactly one inverse_pair call, below the crossover and above it
     rng = random.Random(bits)
     a = -(rng.getrandbits(bits) | 1 << (bits - 1))
     m = rng.getrandbits(bits) | 1 << (bits - 1)
     while math.gcd(a, m) != 1:
         m += 1
-    x, y = pow(a, -1, m), pow(m, -1, a)
-    assert a * x + m * y == 1 + a * m
-    with monkeypatch.context() as patch:
-        patch.setattr(core, "inverse_pair", refuse)
-        assert core.inverse(a, m) == x
-    monkeypatch.setattr(core, "inverse", refuse)
-    assert core.inverse_pair(a, m) == (x, y)
+    pair = inverse_pair(a, m)
+    assert pair == (pow(a, -1, m), pow(m, -1, a))
+    calls = []
+
+    def counted(a, m):
+        calls.append((a, m))
+        return inverse_pair(a, m)
+
+    monkeypatch.setattr(core, "inverse_pair", counted)
+    assert core.inverse(a, m) == pair[0]
+    assert calls == [(a, m)]

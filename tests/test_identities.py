@@ -1,12 +1,12 @@
 import itertools
 import math
-import sys
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from modrecip import core, quad, verify
+from inversion_count import count_inversions
+from modrecip import quad, verify
 from modrecip.cli import COMMANDS
 from modrecip.core import (
     DomainError,
@@ -332,29 +332,8 @@ def test_positive_case_checks_raise_on_wrong_inverses(monkeypatch):
         positive_case_exact(5, 3, 2, 7)
 
 
-def _count_inversions(monkeypatch) -> list:
-    """Route core.inverse, core.inverse_pair and every module-level alias of
-    either through a counter; neither entry point calls the other."""
-    calls = []
-
-    def counter(real):
-        def counted(a, m):
-            calls.append((a, m))
-            return real(a, m)
-        return counted
-
-    counters = [(real, counter(real)) for real in (core.inverse, core.inverse_pair)]
-    for module in list(sys.modules.values()):
-        if getattr(module, "__name__", "").startswith("modrecip"):
-            for name, value in list(vars(module).items()):
-                for real, counted in counters:
-                    if value is real:
-                        monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 def test_paired_callers_invert_once_per_pair(monkeypatch):
-    calls = _count_inversions(monkeypatch)
+    calls = count_inversions(monkeypatch)
 
     def count(call, *args):
         calls.clear()

@@ -77,11 +77,10 @@ def test_inverse_pair_checks_survive_optimize_flag():
     # a wrong inverse of a mod b must make the pair raise, not hand back a
     # wrong partner, when asserts are stripped: off by one it breaks the exact
     # division, shifted by the modulus it leaves a window, b's alone when a is
-    # a unit.  Every catch is the one certificate's.  A 0 at a non-unit modulus
-    # is a fault too, not a unit modulus: the pair's certificate catches it, and
-    # inverse, which has no partner to check, holds pow's value to its open
-    # window, which also catches a shift by the modulus.  The fault is planted
-    # as core.pow, a module global that shadows the builtin the pow route calls
+    # a unit.  A 0 at a non-unit modulus is a fault too, not a unit modulus.
+    # inverse is the pair's first value, so every catch, through either entry
+    # point, is the one certificate's.  The fault is planted as core.pow, a
+    # module global that shadows the builtin the pow route calls
     script = textwrap.dedent("""
         from modrecip import core
         from modrecip.core import DomainError, InvariantError
@@ -102,12 +101,12 @@ def test_inverse_pair_checks_survive_optimize_flag():
         outcomes(core.inverse_pair, lambda a, e, m: 0, cases)
         outcomes(core.inverse, lambda a, e, m: 0, cases)
         outcomes(core.inverse, lambda a, e, m: pow(a, e, m) + m, cases)
+        outcomes(core.inverse, lambda a, e, m: pow(a, e, m) + 1, cases)
     """)
     proc = run_python("-O", "-c", script)
     assert proc.returncode == 0, proc.stderr
     certificate = "InvariantError: the pair fails the identity or leaves its closed windows"
-    window = "InvariantError: pow's inverse leaves its open window"
-    assert proc.stdout.splitlines() == ["False", *[certificate] * 18, *[window] * 12]
+    assert proc.stdout.splitlines() == ["False", *[certificate] * 36]
 
 
 def test_batch_climb_check_survives_optimize_flag():

@@ -5,6 +5,7 @@ from dataclasses import fields, replace
 
 import pytest
 
+from inversion_count import count_inversions
 from modrecip import cli, gaussian, quad, recip, verify
 from modrecip.core import DomainError, InverseOutcome, InvariantError
 from modrecip.gaussian import GaussianInteger
@@ -148,6 +149,27 @@ def test_sharding_is_result_invariant():
         if classical_units:
             expected = [SMALL_CLASSICAL.get(entry[0], entry) for entry in expected]
         assert _outcomes(serial) == [(name, cases, 0, [], note) for name, cases, note in expected]
+
+
+# inversions per suite at SMALL, classical-units suites included; every inverse
+# in the package is one inverse_pair call, so one counter sees them all
+SMALL_INVERSIONS = {
+    "division-law": 0, "unit-modulus-table": 400, "classical-divergence": 344,
+    "inverse-oracles": 140, "reciprocity": 516, "shift-invariance": 1264,
+    "reduction": 1904, "square-inverse": 136, "quad-pair": 2852,
+    "gaussian-inverse": 1280, "gaussian-linear": 204, "unit-contradiction-fixture": 4,
+    "reciprocity-classical-units": 280, "reduction-classical-units": 924,
+}
+
+
+def test_inversions_per_suite(monkeypatch):
+    calls = count_inversions(monkeypatch)
+    counts = {}
+    for suite in [*SUITES.values(), *CLASSICAL_UNITS.values()]:
+        calls.clear()
+        assert suite.run(SMALL).passed
+        counts[suite.name] = len(calls)
+    assert counts == SMALL_INVERSIONS
 
 
 @pytest.mark.parametrize("flags", [[], ["--use-classical-unit-inverse"]], ids=["default", "classical"])
