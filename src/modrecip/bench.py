@@ -53,6 +53,9 @@ def _random_coprime_pair(rng: random.Random, bits: int) -> tuple[int, int]:
 
 def run_bench(bit_width: int, iterations: int, seed: int | None = None) -> BenchReport:
     """Time the three inversion routes on random coprime pairs of one width."""
+    for name, value in ("bit_width", bit_width), ("iterations", iterations), ("seed", seed):
+        if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+            raise DomainError(f"{name} must be an integer")
     if not MIN_BITS <= bit_width <= MAX_BITS:
         raise DomainError(f"bit_width must be in [{MIN_BITS}, {MAX_BITS}]")
     if not 1 <= iterations <= MAX_ITERATIONS:

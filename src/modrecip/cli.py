@@ -198,14 +198,13 @@ def _run_command(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from dataclasses import asdict, replace
+    from dataclasses import asdict, fields, replace
     from .verify import SweepConfig, load_sweep_config, run_each
-    overrides = {"bound": args.bound, "k_bound": args.k_bound,
-                 "gaussian_bound": args.gaussian_bound, "shard_count": args.shards}
     try:
         config = load_sweep_config(args.config) if args.config else SweepConfig()
-        config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
-    except (DomainError, ValueError, OSError) as exc:
+        given = {f.name: getattr(args, f.name, None) for f in fields(config)}  # None: not given
+        config = replace(config, **{k: v for k, v in given.items() if v is not None})
+    except (ValueError, OSError) as exc:  # DomainError included
         print(f"modrecip verify: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     results = []
@@ -320,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="reciprocity/oracle operand bound")
     p.add_argument("--k-bound", dest="k_bound", type=int_arg, default=None)
     p.add_argument("--gaussian-bound", dest="gaussian_bound", type=int_arg, default=None)
-    p.add_argument("--shards", type=int_arg, default=None,
+    p.add_argument("--shards", dest="shard_count", metavar="SHARDS", type=int_arg, default=None,
                    help=f"worker processes for the sweeps (1 to {MAX_SHARDS})")
     p.add_argument("--config", default=None, metavar="FILE",
                    help="key=value file overriding any sweep bound")

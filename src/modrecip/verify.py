@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -51,46 +51,41 @@ from .recip import inverse_via_reciprocity, reciprocity_check, solve_diophantine
 _SAMPLE_LIMIT = 5
 # |a| bound of the unit-modulus table
 _UNIT_MODULUS_LIMIT = 100
+_CONFIG_CHARS = 1 << 20  # longest --config file; nine values of at most 65536 characters fit
 
 # outcome of a classical-units case that breaks exactly as predicted
 BREAK = object()
 
 
-# The range of each SweepConfig field, with the suite that each cap bounds.
-# The caps come from the case rates `verify` prints: with every field at its
-# cap, one serial run (2 vCPUs, Python 3.11) took at most 326 s per suite,
-# within a ten-minute budget.
-_LIMITS = {
-    "bound": (2, 1600),  # inverse-oracles, a brute-force search per case: O(bound^3)
-    "k_bound": (0, 300),  # reduction: O(reduce_bound^2 * k_bound)
-    "gaussian_bound": (2, 24),  # gaussian-inverse: O(gaussian_bound^4)
-    "shard_count": (1, MAX_SHARDS),
-    "shift_bound": (2, 200),  # shift-invariance: O(shift_bound^2 * k_bound)
-    "reduce_bound": (2, 200),  # reduction
-    "square_bound": (2, 4000),  # square-inverse: O(square_bound^2)
-    "quad_bound": (2, 36),  # quad-pair: O(quad_bound^4)
-    "linear_bound": (2, 4000),  # gaussian-linear: O(linear_bound^2)
-}
+def _bound(default: int, least: int, most: int):
+    """A SweepConfig field: its default and the range that __post_init__ holds it to."""
+    return field(default=default, metadata={"range": (least, most)})
 
 
 @dataclass
 class SweepConfig:
-    """Operand bounds for the verification sweeps, all overridable."""
+    """Operand bounds for the verification sweeps, all overridable, each with its range
+    and the suite its cap bounds.  The caps come from the case rates `verify` prints: with
+    every field at its cap, one serial run (2 vCPUs, Python 3.11) took at most 326 s per
+    suite, within a ten-minute budget."""
 
-    bound: int = 64  # reciprocity / oracle operand magnitude
-    k_bound: int = 10
-    gaussian_bound: int = 8
-    shard_count: int = 1
-    shift_bound: int = 40
-    reduce_bound: int = 40
-    square_bound: int = 30
-    quad_bound: int = 12
-    linear_bound: int = 30
+    bound: int = _bound(64, 2, 1600)  # inverse-oracles, a brute-force search per case: O(bound^3)
+    k_bound: int = _bound(10, 0, 300)  # reduction: O(reduce_bound^2 * k_bound)
+    gaussian_bound: int = _bound(8, 2, 24)  # gaussian-inverse: O(gaussian_bound^4)
+    shard_count: int = _bound(1, 1, MAX_SHARDS)
+    shift_bound: int = _bound(40, 2, 200)  # shift-invariance: O(shift_bound^2 * k_bound)
+    reduce_bound: int = _bound(40, 2, 200)  # reduction
+    square_bound: int = _bound(30, 2, 4000)  # square-inverse: O(square_bound^2)
+    quad_bound: int = _bound(12, 2, 36)  # quad-pair: O(quad_bound^4)
+    linear_bound: int = _bound(30, 2, 4000)  # gaussian-linear: O(linear_bound^2)
 
     def __post_init__(self) -> None:
-        for name, (least, most) in _LIMITS.items():
-            if not least <= getattr(self, name) <= most:
-                raise DomainError(f"{name} must be in [{least}, {most}]")
+        for f in fields(self):
+            (least, most), value = f.metadata["range"], getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise DomainError(f"{f.name} must be an integer")
+            if not least <= value <= most:
+                raise DomainError(f"{f.name} must be in [{least}, {most}]")
 
 
 def load_sweep_config(path: str) -> SweepConfig:
@@ -99,16 +94,19 @@ def load_sweep_config(path: str) -> SweepConfig:
     values = {}
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
+            text = fh.read(_CONFIG_CHARS + 1)
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    for lineno, raw in enumerate(lines, 1):
+    if len(text) > _CONFIG_CHARS:
+        raise ValueError(f"{path}: longer than {_CONFIG_CHARS} characters")
+    names = {f.name for f in fields(SweepConfig)}
+    for lineno, raw in enumerate(text.split("\n"), 1):  # the lines readlines() gives
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         key, sep, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if not sep or key not in _LIMITS:
+        if not sep or key not in names:
             raise ValueError(f"{path}:{lineno}: expected <bound-name>=<integer>, got {_quoted(raw.strip())}")
         try:
             values[key] = _int_arg(value)

@@ -491,6 +491,15 @@ def test_bench_parameter_validation(capsys):
             1, "", seed_error)
 
 
+@pytest.mark.parametrize("args, name", [((64.5, 2), "bit_width"), ((64, 2.5), "iterations"),
+                                        ((64, 2, 1.5), "seed"), ((64, True), "iterations"),
+                                        ((64, 2, "1"), "seed")])
+def test_bench_refuses_a_parameter_that_is_not_an_int(args, name):
+    # a float width or count used to raise TypeError mid-run, and a float seed was taken
+    with pytest.raises(DomainError, match=f"^{name} must be an integer$"):
+        bench_mod.run_bench(*args)
+
+
 def test_bench_counts_only_three_way_agreement(monkeypatch):
     # a wrong Bezout coefficient makes the ext-gcd route disagree alone
     monkeypatch.setattr(bench_mod, "extended_gcd", lambda a, m: (1, 0, 0))

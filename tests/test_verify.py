@@ -56,6 +56,27 @@ def test_config_validation():
     assert SweepConfig(bound=200).bound == 200  # acceptance criterion 3
 
 
+def test_config_fields_declare_default_and_range():
+    # each field's default and range, as the README's caps table gives them
+    declared = {f.name: (f.default, f.metadata["range"]) for f in fields(SweepConfig)}
+    assert declared == {
+        "bound": (64, (2, 1600)), "k_bound": (10, (0, 300)), "gaussian_bound": (8, (2, 24)),
+        "shard_count": (1, (1, 32)), "shift_bound": (40, (2, 200)),
+        "reduce_bound": (40, (2, 200)), "square_bound": (30, (2, 4000)),
+        "quad_bound": (12, (2, 36)), "linear_bound": (30, (2, 4000)),
+    }
+
+
+@pytest.mark.parametrize("field, value", [("bound", 64.5), ("shard_count", 1.5),
+                                          ("quad_bound", "4"), ("k_bound", True),
+                                          ("shard_count", False), ("gaussian_bound", None)])
+def test_config_refuses_a_value_that_is_not_an_int(field, value):
+    # a float inside the range used to pass and raise TypeError inside a sweep;
+    # a bool is an int to Python but not a bound
+    with pytest.raises(DomainError, match=f"^{field} must be an integer$"):
+        SweepConfig(**{field: value})
+
+
 def test_load_sweep_config(tmp_path):
     path = tmp_path / "sweep.cfg"
     path.write_text("bound=16  # comment\n\nquad_bound = 5\n")
@@ -100,11 +121,31 @@ def test_load_sweep_config_quotes_a_bounded_part_of_the_line(tmp_path, text, quo
     assert str(info.value) == f"{path}:1: {quote}"
 
 
-def test_config_keys_are_the_limited_fields():
-    # load_sweep_config reads its key set from _LIMITS, and SweepConfig checks
-    # each field against it, so the two must name the same nine keys
-    assert sorted(verify._LIMITS) == sorted(f.name for f in fields(SweepConfig))
-    assert len(verify._LIMITS) == 9
+def test_load_sweep_config_refuses_a_file_past_its_size_cap(tmp_path):
+    # the read stops one character past the cap, so /dev/zero cannot exhaust memory
+    path = tmp_path / "sweep.cfg"
+    path.write_text("bound=8\n#" + "x" * (verify._CONFIG_CHARS - 9))
+    assert load_sweep_config(str(path)).bound == 8  # exactly at the cap
+    path.write_text("bound=8\n#" + "x" * (verify._CONFIG_CHARS - 8))
+    with pytest.raises(ValueError) as info:
+        load_sweep_config(str(path))
+    assert str(info.value) == f"{path}: longer than 1048576 characters"
+
+
+def test_verify_refuses_an_oversized_config_in_one_line(tmp_path, capsys):
+    path = tmp_path / "sweep.cfg"
+    path.write_text("#" * (verify._CONFIG_CHARS + 1))
+    assert cli.main(["verify", "--config", str(path)]) == 1
+    assert capsys.readouterr() == (
+        "", f"modrecip verify: error: {path}: longer than 1048576 characters\n")
+
+
+def test_load_sweep_config_numbers_lines_as_readlines_does(tmp_path):
+    # a form feed or a Unicode line separator does not start a new line
+    path = tmp_path / "sweep.cfg"
+    path.write_text("bound=8\x0c\u2028\r\nmystery=1\n", newline="")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}:2: expected")):
+        load_sweep_config(str(path))
 
 
 def test_load_sweep_config_names_a_file_that_is_not_utf8(tmp_path):
@@ -223,8 +264,8 @@ def _raises_from_4(honest):
 
 
 def _plus_one_at_3_mod_5(honest):
-    def planted(a, m):
-        return honest(a, m) + (abs(a) % 5 == 3)
+    def planted(a, *rest):
+        return honest(a, *rest) + (abs(a) % 5 == 3)
     return planted
 
 
@@ -247,6 +288,21 @@ def _x1_plus_one_at_3_mod_5(honest):
         report = honest(a, b, c, d)
         x1, *rest = report.x
         return replace(report, x=(x1 + (abs(a) % 5 == 3), *rest))
+    return planted
+
+
+def _inv_a_plus_one_at_3_mod_5(honest):
+    # only inv_a_mod_b moves: lhs, k and holds still read the honest pair
+    def planted(a, b):
+        report = honest(a, b)
+        return replace(report, inv_a_mod_b=report.inv_a_mod_b + (abs(a) % 5 == 3))
+    return planted
+
+
+def _remainder_plus_one_at_3_mod_5(honest):
+    def planted(n, d):
+        result = honest(n, d)
+        return result._replace(remainder=result.remainder + (abs(d.re) % 5 == 3))
     return planted
 
 
@@ -332,6 +388,33 @@ def _t_inverse_mod_v_plus_one(honest):
                      id="gaussian-pair-shifted"),
         pytest.param(gaussian, "inverse_pair", _first_plus_one_at_3_mod_5,
                      SUITES["gaussian-inverse"], 352, "z=-3-3i w=-3-2i", id="gaussian-pair-first"),
+        # every other public subject the suites call, each caught by the suite that calls it
+        pytest.param(verify, "shift_invariance", _plus_one_at_3_mod_5, SUITES["shift-invariance"],
+                     112, "a=-3 b=-5 k=-3", id="shift-invariance"),
+        pytest.param(verify, "reduce_inverse_plus", _plus_one_at_3_mod_5, SUITES["reduction"],
+                     112, "a=-3 b=-5 k=-3 form=+", id="reduce-inverse-plus"),
+        pytest.param(verify, "reduce_inverse_minus", _plus_one_at_3_mod_5, SUITES["reduction"],
+                     112, "a=-3 b=-5 k=-3 form=-", id="reduce-inverse-minus"),
+        pytest.param(verify, "positive_case_exact", _plus_one_at_3_mod_5, SUITES["quad-pair"],
+                     23, "a=3 b=1 c=1 d=1", id="positive-case-exact"),
+        pytest.param(verify, "floor_div", _plus_one_at_3_mod_5, SUITES["division-law"],
+                     64, "a=-8 m=-8 q=2 r=0", id="floor-div"),
+        pytest.param(verify, "floor_mod", _plus_one_at_3_mod_5, SUITES["division-law"],
+                     64, "a=-8 m=-8 q=1 r=1", id="floor-mod"),
+        pytest.param(verify, "classical_inverse", _outcome_plus_one_at_3_mod_5,
+                     SUITES["classical-divergence"], 40, "a=-3 m=-8 new=-3",
+                     id="classical-inverse"),
+        pytest.param(verify, "brute_force_inverse", _outcome_plus_one_at_3_mod_5,
+                     SUITES["inverse-oracles"], 32, "a=-3 m=-8 inverse=-3",
+                     id="brute-force-inverse"),
+        pytest.param(verify, "reciprocity_check", _inv_a_plus_one_at_3_mod_5,
+                     SUITES["reciprocity"], 40, "a=-8 b=-7 lhs=57", id="reciprocity-check"),
+        pytest.param(verify, "gaussian_bezout_identity",
+                     lambda honest: lambda a, *rest: honest(a, *rest) and abs(a) % 5 != 3,
+                     SUITES["gaussian-inverse"], 208, "z=-3-3i w=-3-2i",
+                     id="gaussian-bezout-identity"),
+        pytest.param(verify, "gaussian_divmod", _remainder_plus_one_at_3_mod_5,
+                     SUITES["gaussian-inverse"], 208, "z=-3-3i w=-3-2i", id="gaussian-divmod"),
         # a subject that raises fails its suite once, with the error's type and message
         pytest.param(verify, "square_inverse", _raises_from_4, SUITES["square-inverse"], 1,
                      "InvariantError: planted fault", id="raising-subject"),
