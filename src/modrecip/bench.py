@@ -13,7 +13,6 @@ when every trial agreed.  Timings are comparative instrumentation, not an
 acceptance threshold.
 """
 
-from __future__ import annotations
 
 import math
 import random

@@ -1,9 +1,10 @@
 """Command-line surface: single computations, verification sweeps, benchmark.
 
-Exit codes: 0 success, 1 usage or parse error, 2 undefined inverse or
-violated hypothesis, 3 verification counterexample.  :func:`main` returns
-every code, argparse's help and usage errors included, and a range error
-of the library's own checks as 1.  Prefix operands that start with '-' and
+Exit codes: 0 success, 1 usage, parse or output error, 2 undefined inverse
+or violated hypothesis, 3 verification counterexample.  :func:`main` returns
+every code, argparse's help and usage errors included, a range error of the
+library's own checks as 1, and a failed write to stdout (a closed pipe, a
+full device) as 1.  Prefix operands that start with '-' and
 are not plain negative decimals (hex, Gaussian forms) with a standalone '--'.
 
 Only :mod:`modrecip.core` is imported up front.  Each subcommand imports
@@ -16,8 +17,8 @@ the command table and never imports :mod:`argparse`; everything else, help
 and usage errors included, goes to the argparse parser.
 """
 
-from __future__ import annotations
 
+import os
 import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, NamedTuple
@@ -284,7 +285,7 @@ def _plain_call(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(command=argv[0], func=_run_command, **values)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> "argparse.ArgumentParser":
     """The CLI parser, with one subparser per subcommand."""
     import argparse
 
@@ -339,31 +340,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _main(argv: list[str]) -> int:
+    args = _plain_call(argv)
+    if args is None:
+        parser = build_parser()
+        try:
+            args = parser.parse_args(argv)
+            # argparse takes a second "--" as an operand and hands it over as []
+            empty = [name for name, value in vars(args).items() if isinstance(value, list)]
+            if empty:
+                parser.error(f"missing operand(s): {', '.join(empty)}")
+        except SystemExit as exc:  # argparse has printed its help or usage error
+            return EXIT_OK if exc.code == 0 else EXIT_USAGE
+    try:
+        return args.func(args)
+    except (ZeroOperandError, NotCoprimeError, DomainError) as exc:
+        reason = type(exc).__name__.removesuffix("Error")
+        if args.json:
+            _emit_json({"error": reason, "detail": str(exc)})
+        else:
+            print(f"error: {reason}: {exc}", file=sys.stderr)
+        return EXIT_UNDEFINED
+
+
 def main(argv=None) -> int:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        argv = sys.argv[1:] if argv is None else list(argv)
-        args = _plain_call(argv)
-        if args is None:
-            parser = build_parser()
-            try:
-                args = parser.parse_args(argv)
-                # argparse takes a second "--" as an operand and hands it over as []
-                empty = [name for name, value in vars(args).items() if isinstance(value, list)]
-                if empty:
-                    parser.error(f"missing operand(s): {', '.join(empty)}")
-            except SystemExit as exc:  # argparse has printed its help or usage error
-                return EXIT_OK if exc.code == 0 else EXIT_USAGE
-        try:
-            return args.func(args)
-        except (ZeroOperandError, NotCoprimeError, DomainError) as exc:
-            reason = type(exc).__name__.removesuffix("Error")
-            if args.json:
-                _emit_json({"error": reason, "detail": str(exc)})
-            else:
-                print(f"error: {reason}: {exc}", file=sys.stderr)
-            return EXIT_UNDEFINED
+        code = _main(sys.argv[1:] if argv is None else list(argv))
+        sys.stdout.flush()  # a failed write raises here, not in the flush at exit
+        return code
+    except OSError as exc:  # stdout's reader has gone (BrokenPipeError) or its device is full
+        # the "Note on SIGPIPE" in the signal module's docs: stdout's file descriptor,
+        # not the sys.stdout of an in-process caller, now writes to devnull, so that
+        # the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        if not isinstance(exc, BrokenPipeError):  # a closed pipe is the reader's choice
+            print(f"modrecip: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     finally:
         # callers that run main in-process keep their own limit
         sys.set_int_max_str_digits(limit)

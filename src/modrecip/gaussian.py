@@ -6,7 +6,6 @@ the divisor's norm.  That fixed tie rule makes the canonical residue of
 an inverse deterministic and representative-independent.
 """
 
-from __future__ import annotations
 
 import re
 from typing import NamedTuple

@@ -9,7 +9,6 @@ NotCoprimeError through unchanged.  The identities of a quadruple of
 operands live in :mod:`modrecip.quad`.
 """
 
-from __future__ import annotations
 
 from .core import DomainError, InvariantError, ZeroOperandError, inverse, inverse_pair, sign
 

@@ -5,7 +5,6 @@ Every value comes in closed form from the inverses of the pairs (a, b) and
 ZeroOperandError and NotCoprimeError pass through unchanged.
 """
 
-from __future__ import annotations
 
 import math
 from dataclasses import dataclass

@@ -14,7 +14,6 @@ inverts by climbing it.  The identity's two applications build on that climb:
 :func:`solve_diophantine` reads the cofactor of a*x - k*m = 1 off the pair.
 """
 
-from __future__ import annotations
 
 from dataclasses import dataclass
 

@@ -11,7 +11,6 @@ One table, ``SUITES``, lists every suite in run order; ``CLASSICAL_UNITS``
 holds the counterfactual entries that classical-units mode runs instead.
 """
 
-from __future__ import annotations
 
 import math
 import time

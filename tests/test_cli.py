@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from child_process import run_python
+from child_process import child_env, run_python
 from modrecip import bench as bench_mod
 from modrecip import cli, verify
 from modrecip.bench import BenchReport
@@ -380,6 +381,29 @@ def _verify_process(shards: str) -> dict:
 
 def test_verify_module_entry_point_shards():
     assert _verify_process("2") == _verify_process("1")
+
+
+def test_closed_stdout_pipe_exits_1_without_a_traceback():
+    # `modrecip verify | head -1`: the reader closes the pipe after the first
+    # suite's line, and the next line's write fails with a BrokenPipeError
+    proc = subprocess.Popen([sys.executable, "-m", "modrecip", "verify"], env=child_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=300)
+    assert proc.returncode == 1, err
+    assert first.startswith("division-law: ") and err == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_stdout_on_a_full_device_exits_1_without_a_traceback(unbuffered):
+    # buffered, the write fails in main's own flush; unbuffered, in print itself
+    env = child_env() | {"PYTHONUNBUFFERED": unbuffered}
+    with open("/dev/full", "w") as full:
+        proc = run_python("-m", "modrecip", "inv", "7", "22", stdout=full, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr == "modrecip: error: [Errno 28] No space left on device\n"
 
 
 def test_verify_classical_mode(capsys):

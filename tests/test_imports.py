@@ -51,7 +51,7 @@ def test_inverse_commands_import_only_core(argv):
     added = _added_modules(*argv)
     assert {"modrecip.cli", "modrecip.core"} <= added
     unwanted = _HEAVY | {"modrecip.gaussian", "modrecip.identities", "modrecip.recip",
-                         "dataclasses", "argparse"}
+                         "dataclasses", "argparse", "__future__"}
     assert not added & unwanted, sorted(added & unwanted)
 
 
@@ -69,7 +69,7 @@ def test_module_run_of_inv_loads_core_alone():
     loaded = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
     assert "modrecip.core" in loaded
     unwanted = _HEAVY | {"modrecip.gaussian", "modrecip.identities", "modrecip.recip",
-                         "dataclasses", "argparse"}
+                         "dataclasses", "argparse", "__future__"}
     assert not loaded & unwanted, sorted(loaded & unwanted)
 
 

@@ -162,6 +162,77 @@ def test_batch_climb_check_survives_optimize_flag():
     assert _run_optimized(script) == ["False", "4", "4", "4", "4", "4"]
 
 
+def test_vanished_remainder_on_a_coprime_pair_is_a_fault_under_optimize_flag():
+    # a descent fault that zeroes a remainder on a coprime pair must raise
+    # InvariantError, not pass for a shared factor, through every caller, when
+    # asserts are stripped: doubling the pair the batches reach trips the
+    # per-level descent, and a divmod that drops its remainder trips the full
+    # step of the batched descent, with no window batch (_HALF at the window
+    # top) to go first.  Genuine shared factors still raise NotCoprimeError
+    script = textwrap.dedent("""
+        import math
+        import random
+        from modrecip import core, recip
+        from modrecip.core import InvariantError, NotCoprimeError
+
+        rng = random.Random(4096)
+
+        def coprime(bits):
+            while True:
+                a, m = rng.getrandbits(bits) | 1 << bits - 1, rng.getrandbits(bits) | 1 << bits - 1
+                if math.gcd(a, m) == 1:
+                    return a, m
+
+        a, m = coprime(4096)
+        pairs = ((a, m), (a, -m), (-a, m), (-a, -m))
+        routes = (core.inverse, core.inverse_pair, core.mod_inverse, core.classical_inverse,
+                  recip.inverse_via_reciprocity, recip.solve_diophantine)
+
+        def outcomes(pairs):
+            seen = []
+            for route in routes:
+                for a, m in pairs:
+                    try:
+                        seen.append(f"returned {route(a, m)}")
+                    except (InvariantError, NotCoprimeError) as exc:
+                        seen.append(f"{type(exc).__name__}: {exc}")
+            return seen
+
+        descend, half = core._batched_descent, core._HALF
+
+        def doubling(x, y):
+            x, y, steps = descend(x, y)
+            return 2 * x, 2 * y, steps
+
+        core._batched_descent = doubling
+        doubled = outcomes(pairs)
+        core._batched_descent = descend
+        core._HALF, core.divmod = 1 << core._WINDOW_BITS, lambda x, y: (x // y, 0)
+        dropped = outcomes(pairs)
+        core._HALF = half
+        del core.divmod
+
+        shared = []
+        for factor_bits in (32, 2048):
+            g = rng.getrandbits(factor_bits) | 1 << factor_bits - 1
+            x, y = coprime(4096 - factor_bits)
+            for a, m in ((g * x, g * y), (-g * x, g * y)):
+                try:
+                    shared.append(f"returned {core.reciprocal_pair(a, m)}")
+                except NotCoprimeError as exc:
+                    shared.append(f"NotCoprimeError: {exc}")
+        print(__debug__)
+        print(*sorted(set(doubled)), len(doubled), sep="\\n")
+        print(*sorted(set(dropped)), len(dropped), sep="\\n")
+        print(*sorted(set(shared)), len(shared), sep="\\n")
+    """)
+    proc = run_python("-O", "-c", script)
+    assert proc.returncode == 0, proc.stderr
+    fault = "InvariantError: a remainder vanished on a coprime pair"
+    assert proc.stdout.splitlines() == [
+        "False", fault, "24", fault, "24", "NotCoprimeError: operand and modulus share a factor", "4"]
+
+
 def test_post_condition_survives_optimize_flag():
     # a wrong unit base case must be caught by the final check even when
     # the interpreter strips asserts
