@@ -343,14 +343,18 @@ def build_parser() -> "argparse.ArgumentParser":
 def _main(argv: list[str]) -> int:
     args = _plain_call(argv)
     if args is None:
-        parser = build_parser()
+        from contextlib import redirect_stdout
+        from io import StringIO
+        parser, help_text = build_parser(), StringIO()
         try:
-            args = parser.parse_args(argv)
+            with redirect_stdout(help_text):  # argparse's own write hides a failure
+                args = parser.parse_args(argv)
             # argparse takes a second "--" as an operand and hands it over as []
             empty = [name for name, value in vars(args).items() if isinstance(value, list)]
             if empty:
                 parser.error(f"missing operand(s): {', '.join(empty)}")
         except SystemExit as exc:  # argparse has printed its help or usage error
+            sys.stdout.write(help_text.getvalue())  # main reports a failed write
             return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         return args.func(args)

@@ -224,10 +224,9 @@ def _batched_descent(x: int, y: int) -> tuple[int, int, list[tuple[int, int, int
     batch that does not leave 0 < y' < x' <= y, or has no quotient, gives
     way to one full divmod step.  Returns the pair reached
     and the step matrices (u0, v0, u1, v1), outermost first, each taking the
-    pair (x, y) above it to (u0*x + v0*y, u1*x + v1*y).  A remainder that
-    vanishes raises :func:`_vanished`'s error for the pair given.
+    pair (x, y) above it to (u0*x + v0*y, u1*x + v1*y).  A full step whose
+    remainder vanishes ends the descent on a pair whose y divides x.
     """
-    called = x, y
     max_steps = 3 * min(x, y).bit_length() + _STEP_SLACK
     steps = []
     if x < y:
@@ -256,20 +255,11 @@ def _batched_descent(x: int, y: int) -> tuple[int, int, list[tuple[int, int, int
                 x, y = nx, ny
                 continue
         q, r = divmod(x, y)
-        if r == 0:
-            raise _vanished(*called)
+        if r == 0:  # reciprocal_pair's first divmod meets the same zero and raises
+            break
         steps.append((0, 1, 1, -q))
         x, y = y, r
     return x, y, steps
-
-
-def _vanished(a: int, b: int) -> Exception:
-    """The error for a zero remainder in a descent from (a, b): a shared factor is
-    NotCoprimeError, and on a coprime pair it is a fault, an InvariantError.  The gcd
-    runs on this failure path only."""
-    if math.gcd(a, b) != 1:
-        return NotCoprimeError("operand and modulus share a factor")
-    return InvariantError("a remainder vanished on a coprime pair")
 
 
 def _certified(a: int, b: int, x: int, y: int, miss: int) -> tuple[int, int]:
@@ -305,8 +295,8 @@ def reciprocal_pair(a: int, m: int) -> tuple[int, int]:
     Either way the climb ends on both inverses of (a, m), and the module's
     certificate checks the two together for two multiplications and no
     division.  Raises ZeroOperandError on a zero operand, and on a remainder
-    that vanishes NotCoprimeError if a and m share a factor and InvariantError
-    if they do not (:func:`_vanished`).
+    that vanishes, in either descent, NotCoprimeError if a and m share a factor
+    and InvariantError if they do not; the gcd runs on that failure path only.
     """
     if a == 0 or m == 0:
         raise ZeroOperandError("reciprocity needs nonzero operands")
@@ -319,7 +309,9 @@ def reciprocal_pair(a: int, m: int) -> tuple[int, int]:
     while abs(y) != 1:
         q, r = divmod(x, y)
         if r == 0:
-            raise _vanished(a, m)
+            if math.gcd(a, m) != 1:
+                raise NotCoprimeError("operand and modulus share a factor")
+            raise InvariantError("a remainder vanished on a coprime pair")
         levels.append((q, y))
         if len(levels) > max_steps:
             raise InvariantError("reduction exceeded the Euclid step bound")

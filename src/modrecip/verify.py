@@ -14,6 +14,7 @@ holds the counterfactual entries that classical-units mode runs instead.
 
 import math
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -157,6 +158,14 @@ def _tally(cases, config: SweepConfig, chunk: list) -> tuple[int, int, list[str]
     return count, fails, samples, breaks
 
 
+def _pool(shards: int):
+    """A pool of `shards` workers, started on its first map, or for one shard no pool (None)."""
+    if shards <= 1:
+        return nullcontext()
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=shards)
+
+
 class Suite(NamedTuple):
     """One verification suite: its generator runs over ``outer(config)``."""
 
@@ -165,8 +174,8 @@ class Suite(NamedTuple):
     outer: Callable[[SweepConfig], Iterable]
     note: str = ""  # may use {breaks}, the count of designed breaks
 
-    def run(self, config: SweepConfig) -> SweepResult:
-        """Run the suite over its outer operands, sharded when the config asks."""
+    def run(self, config: SweepConfig, pool=None) -> SweepResult:
+        """Run the suite over its outer operands, sharded when the config asks, on pool if given."""
         start = time.perf_counter()
         outer = list(self.outer(config))
         shards = config.shard_count
@@ -175,13 +184,11 @@ class Suite(NamedTuple):
             if shards <= 1 or len(outer) < 2 * shards:
                 parts = [_tally(self.cases, config, outer)]
             else:
-                from concurrent.futures import ProcessPoolExecutor
-
                 # several contiguous chunks per worker even out uneven case costs; merged in
                 # order, they keep the labels in sweep order, and map raises the first chunk's error
                 size = -(-len(outer) // (4 * shards))
                 chunks = [outer[i : i + size] for i in range(0, len(outer), size)]
-                with ProcessPoolExecutor(max_workers=shards) as ex:
+                with nullcontext(pool) if pool else _pool(shards) as ex:
                     parts = list(ex.map(_tally, repeat(self.cases), repeat(config), chunks))
         except (DomainError, InvariantError, NotCoprimeError, ZeroOperandError) as exc:
             # a subject that raises is one counterexample for the whole suite
@@ -452,9 +459,12 @@ CLASSICAL_UNITS = {
 
 def run_each(config: SweepConfig, classical_units: bool = False) -> Iterator[SweepResult]:
     """Run every sweep, yielding each result as its suite finishes; classical-units mode
-    swaps in the counterfactual suites."""
+    swaps in the counterfactual suites.  A sharded run starts its workers once, in one pool
+    that every suite shares: on 3.12 a later pool's fork can warn that it may deadlock."""
     table = SUITES | CLASSICAL_UNITS if classical_units else SUITES
-    return (suite.run(config) for suite in table.values())
+    with _pool(config.shard_count) as pool:
+        for suite in table.values():
+            yield suite.run(config, pool) if pool else suite.run(config)
 
 
 def run_all(config: SweepConfig, classical_units: bool = False) -> list[SweepResult]:

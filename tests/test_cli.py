@@ -406,6 +406,30 @@ def test_stdout_on_a_full_device_exits_1_without_a_traceback(unbuffered):
     assert proc.stderr == "modrecip: error: [Errno 28] No space left on device\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["-h"], ["inv", "-h"], ["verify", "-h"]], ids=" ".join)
+def test_help_on_a_full_device_exits_1_without_a_traceback(argv, unbuffered):
+    # argparse swallows a failed write of its own, so the CLI writes the help itself
+    env = child_env() | {"PYTHONUNBUFFERED": unbuffered}
+    with open("/dev/full", "w") as full:
+        proc = run_python("-m", "modrecip", *argv, stdout=full, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr == "modrecip: error: [Errno 28] No space left on device\n"
+
+
+def test_sharded_verify_forks_without_a_deprecation_warning(tmp_path):
+    # 3.12 warns at each fork in a process that has run a pool's threads; the warning
+    # is shown and read from stderr, as an error filter would not end the run
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("bound=8\nk_bound=3\ngaussian_bound=3\nshift_bound=6\nreduce_bound=6\n"
+                   "square_bound=6\nquad_bound=4\nlinear_bound=6\n")
+    for mode in ([], ["--use-classical-unit-inverse"]):
+        proc = run_python("-W", "always::DeprecationWarning", "-m", "modrecip", "verify",
+                          "--shards", "2", "--config", str(cfg), *mode, timeout=300)
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+
 def test_verify_classical_mode(capsys):
     code, out, _ = run(capsys, "verify", "--bound", "6", "--use-classical-unit-inverse")
     assert code == 0

@@ -192,6 +192,29 @@ def test_sharding_is_result_invariant():
         assert _outcomes(serial) == [(name, cases, 0, [], note) for name, cases, note in expected]
 
 
+def test_sharded_run_builds_one_pool(monkeypatch):
+    # one executor serves every suite of a sharded run, so its workers fork once
+    import concurrent.futures
+
+    built = []
+
+    class Counted(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+        def map(self, fn, *iterables):
+            # in this process: a pool forked right after another one has shut
+            # down can meet its last thread still exiting, and 3.12 warns
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+    for classical_units in (False, True):
+        built.clear()
+        assert all(r.passed for r in run_all(replace(SMALL, shard_count=2), classical_units))
+        assert built == [{"max_workers": 2}]
+
+
 # inversions per suite at SMALL, classical-units suites included; every inverse
 # in the package is one inverse_pair call, so one counter sees them all
 SMALL_INVERSIONS = {
