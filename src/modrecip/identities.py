@@ -29,23 +29,18 @@ def shift_invariance(a: int, b: int, k: int) -> int:
 
 def reduce_inverse_plus(a: int, b: int, k: int) -> int:
     """Inverse of a modulo k*a + b, as k*(a - inv(b mod a)) + inv(a mod b)."""
-    return _reduce_inverse(a, b, k, plus=True)
+    if abs(a) == 1:
+        raise DomainError("|a| = 1 is excluded from the reduction identities")
+    if k * a + b == 0:
+        raise ZeroOperandError("target modulus is zero")
+    inv_a_mod_b, inv_b_mod_a = inverse_pair(a, b)
+    return k * (a - inv_b_mod_a) + inv_a_mod_b
 
 
 def reduce_inverse_minus(a: int, b: int, k: int) -> int:
-    """Inverse of a modulo k*a - b, as k*inv(b mod a) - (b - inv(a mod b))."""
-    return _reduce_inverse(a, b, k, plus=False)
-
-
-def _reduce_inverse(a: int, b: int, k: int, plus: bool) -> int:
-    if abs(a) == 1:
-        raise DomainError("|a| = 1 is excluded from the reduction identities")
-    if (k * a + b if plus else k * a - b) == 0:
-        raise ZeroOperandError("target modulus is zero")
-    inv_a_mod_b, inv_b_mod_a = inverse_pair(a, b)
-    if plus:
-        return k * (a - inv_b_mod_a) + inv_a_mod_b
-    return k * inv_b_mod_a - (b - inv_a_mod_b)
+    """Inverse of a modulo k*a - b, as k*inv(b mod a) - (b - inv(a mod b)): the plus form at -b,
+    since inv(-b mod a) = a - inv(b mod a) and inv(a mod -b) = inv(a mod b) - b, units included."""
+    return reduce_inverse_plus(a, -b, k)
 
 
 def square_inverse(a: int, b: int) -> int:

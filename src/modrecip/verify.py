@@ -93,7 +93,7 @@ def load_sweep_config(path: str) -> SweepConfig:
     each value by the flags' reader: their integer grammar and operand cap."""
     values = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read(_CONFIG_CHARS + 1)
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None

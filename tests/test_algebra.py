@@ -1,21 +1,31 @@
-"""The quad report's congruences hold by algebra, checked on the shipped formulas.
+"""The corollaries' congruences hold by algebra, checked on the shipped formulas.
 
-``quad._cross_terms`` is pure arithmetic in a, b, c, d and the inverses of the
-two pairs: alpha = inv(a mod b), beta = inv(b mod a), gamma = inv(c mod d) and
-delta = inv(d mod c).  Run on symbols, with ``inverse_pair`` patched to return
-them, it gives polynomials.  Each congruence of a quad report then differs from
-a multiple of its modulus by a combination of R1 = a*alpha + b*beta - 1 - a*b
-and R2 = c*gamma + d*delta - 1 - c*d, the paper's identity for each pair.  The
-core's certificate makes R1 = R2 = 0 on every pair it returns, so every pair and
-proof flag of a quad report, and with them the sum flags, hold for every input
-and not only on the sweeps' bounded box.
+Notation: alpha = inv(a mod b), beta = inv(b mod a), gamma = inv(c mod d) and
+delta = inv(d mod c), with R1 = a*alpha + b*beta - 1 - a*b and R2 = c*gamma +
+d*delta - 1 - c*d, the paper's identity for each pair.  The core's certificate
+makes R1 = R2 = 0 on every pair it returns, so a congruence whose miss is a
+combination of R1 and R2 holds for every input and not only on the sweeps'
+bounded box.
+
+Where a function is plain arithmetic in its operands and inverses (the quad
+report's ``quad._cross_terms``, ``recip.solve_diophantine``, the minus
+reduction's call of the plus form), it runs here on symbols, with what it calls
+(``inverse_pair``, or the plus form) patched to take them, and gives
+polynomials; so every pair and proof flag of a quad report, and with them its
+sum flags, hold for every input.  Where it
+compares or reduces with ``%`` (``reduce_inverse_plus``,
+``inverse_mod_gaussian_linear``, ``square_inverse``), its formula is restated
+here, and the restatement is held to the shipped value at certified integer
+points.
 """
 
 import pytest
 
-from modrecip import quad
+from modrecip import identities, quad, recip
+from modrecip.core import inverse, inverse_pair
+from modrecip.gaussian import GaussianInteger, inverse_mod_gaussian_linear
 
-SYMBOLS = "a b c d alpha beta gamma delta".split()
+SYMBOLS = "a b c d alpha beta gamma delta k".split()
 
 
 class Poly:
@@ -44,6 +54,9 @@ class Poly:
     def __sub__(self, other):
         return self + -Poly.lift(other)
 
+    def __rsub__(self, other):
+        return Poly.lift(other) - self
+
     def __mul__(self, other):
         terms: dict[tuple[int, ...], int] = {}
         for e1, k1 in self.terms.items():
@@ -51,6 +64,8 @@ class Poly:
                 exps = tuple(map(sum, zip(e1, e2)))
                 terms[exps] = terms.get(exps, 0) + k1 * k2
         return Poly(terms)
+
+    __rmul__ = __mul__
 
     def __eq__(self, other):
         return self.terms == Poly.lift(other).terms
@@ -63,12 +78,13 @@ class Poly:
         total = 0
         for exps, k in self.terms.items():
             for name, e in zip(SYMBOLS, exps):
-                k *= values[name] ** e
+                if e:
+                    k *= values[name] ** e
             total += k
         return total
 
 
-a, b, c, d, alpha, beta, gamma, delta = map(Poly.symbol, SYMBOLS)
+a, b, c, d, alpha, beta, gamma, delta, k = map(Poly.symbol, SYMBOLS)
 u, v, s, t = a * c + b * d, a * d - b * c, a * a + b * b, c * c + d * d
 R1 = a * alpha + b * beta - 1 - a * b
 R2 = c * gamma + d * delta - 1 - c * d
@@ -124,3 +140,69 @@ PROOF_MISSES = {
 def test_proof_identities_are_multiples_of_the_pair_identities(cross_terms, identity):
     miss, multiple = PROOF_MISSES[identity]
     assert miss(*cross_terms) == multiple
+
+
+# reduce_inverse_plus, inverse_mod_gaussian_linear and square_inverse, restated
+# from the value of inverse_pair(a, b) or inverse(b, a)
+def plus_form(a, b, k, pair):
+    x, y = pair
+    return k * (a - y) + x
+
+
+def gaussian_linear_form(a, pair):
+    x, y = pair
+    return GaussianInteger(x, a - y)
+
+
+def square_forms(b, i):
+    """square_inverse's two forms before their reduction modulo a*a."""
+    half = (b * i - 2) * i
+    return half * half, (3 - 2 * b * i) * i * i
+
+
+@pytest.mark.parametrize("a_, b_, k_", [(7, 3, 2), (-5, 3, -1), (4, -1, 3), (9, -7, 0),
+                                        (-2, 1, 5), (3**40, -(2**70 + 1), 4)])
+def test_restated_formulas_give_the_shipped_values(a_, b_, k_):
+    pair = inverse_pair(a_, b_)
+    assert identities.reduce_inverse_plus(a_, b_, k_) == plus_form(a_, b_, k_, pair)
+    assert inverse_mod_gaussian_linear(a_, b_) == gaussian_linear_form(a_, pair)
+    forms = square_forms(b_, inverse(b_, a_))
+    assert [identities.square_inverse(a_, b_)] * 2 == [f % (a_ * a_) for f in forms]
+
+
+def test_reduction_plus_is_one_modulo_its_modulus():
+    x = plus_form(a, b, k, (alpha, beta))
+    assert a * x - 1 == (k * a + b) * (a - beta) + R1
+
+
+def test_reduction_minus_is_the_plus_form_at_minus_b(monkeypatch):
+    # inverse_pair(a, -b) is (alpha - b, a - beta): that pair meets the identity
+    # at (a, -b) exactly when (alpha, beta) meets it at (a, b)
+    pairs = {(a, b): (alpha, beta), (a, -b): (alpha - b, a - beta)}
+    assert a * (alpha - b) - b * (a - beta) - 1 + a * b == R1
+    monkeypatch.setattr(identities, "reduce_inverse_plus",
+                        lambda p, q, m: plus_form(p, q, m, pairs[p, q]))
+    x = identities.reduce_inverse_minus(a, b, k)
+    assert x == k * beta - (b - alpha)
+    assert a * x - 1 == (k * a - b) * beta + R1
+
+
+def test_diophantine_solution_meets_its_equation(monkeypatch):
+    monkeypatch.setattr(recip, "inverse_pair", lambda p, q: {(a, b): (alpha, beta)}[p, q])
+    x, cofactor = recip.solve_diophantine(a, b)
+    assert a * x - cofactor * b - 1 == R1
+
+
+def test_gaussian_linear_inverse_is_one_modulo_its_modulus():
+    g = gaussian_linear_form(a, (alpha, beta))
+    assert g * GaussianInteger(a, 0) - 1 == (GaussianInteger(b, a) * GaussianInteger(a - beta, 0)
+                                             + GaussianInteger(R1, 0))
+
+
+def test_square_inverse_forms_are_one_modulo_a_squared():
+    # e is a multiple of a once R1 = 0, so e*e is one of a*a
+    e = b * beta - 1
+    assert e == a * (b - alpha) + R1
+    form1, form2 = square_forms(b, beta)
+    assert b * b * form1 == 1 - 2 * e * e + e * e * e * e
+    assert b * b * form2 == 1 - 3 * e * e - 2 * e * e * e

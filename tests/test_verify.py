@@ -148,6 +148,13 @@ def test_load_sweep_config_numbers_lines_as_readlines_does(tmp_path):
         load_sweep_config(str(path))
 
 
+def test_load_sweep_config_skips_a_utf8_byte_order_mark(tmp_path):
+    # as some Windows editors save a UTF-8 file
+    path = tmp_path / "sweep.cfg"
+    path.write_bytes(b"\xef\xbb\xbfbound=8\n")
+    assert load_sweep_config(str(path)).bound == 8
+
+
 def test_load_sweep_config_names_a_file_that_is_not_utf8(tmp_path):
     path = tmp_path / "sweep.cfg"
     path.write_bytes(b"\xffbound=8\n")
@@ -209,10 +216,11 @@ def test_sharded_run_builds_one_pool(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
-    for classical_units in (False, True):
-        built.clear()
-        assert all(r.passed for r in run_all(replace(SMALL, shard_count=2), classical_units))
-        assert built == [{"max_workers": 2}]
+    for shards, pools in ((2, [{"max_workers": 2}]), (1, [])):  # a serial run starts none
+        for classical_units in (False, True):
+            built.clear()
+            assert all(r.passed for r in run_all(replace(SMALL, shard_count=shards), classical_units))
+            assert built == pools
 
 
 # inversions per suite at SMALL, classical-units suites included; every inverse
