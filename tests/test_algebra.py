@@ -14,16 +14,21 @@ reduction's call of the plus form), it runs here on symbols, with what it calls
 polynomials; so every pair and proof flag of a quad report, and with them its
 sum flags, hold for every input.  Where it
 compares or reduces with ``%`` (``reduce_inverse_plus``,
-``inverse_mod_gaussian_linear``, ``square_inverse``), its formula is restated
-here, and the restatement is held to the shipped value at certified integer
-points.
+``inverse_mod_gaussian_linear``, ``square_inverse``, ``gaussian_inverse``,
+``gaussian_bezout_identity``), its formula is restated here, and the
+restatement is held to the shipped value at certified integer points.
+
+The two Gaussian checks take z = a + b*i and w = c + d*i with the norms
+s = a*a + b*b and t = c*c + d*d; there gamma and delta stand for inv(s mod t)
+and inv(t mod s), and R3 = s*gamma + t*delta - 1 - s*t.
 """
 
 import pytest
 
-from modrecip import identities, quad, recip
+from modrecip import gaussian, identities, quad, recip
 from modrecip.core import inverse, inverse_pair
-from modrecip.gaussian import GaussianInteger, inverse_mod_gaussian_linear
+from modrecip.gaussian import (GaussianInteger, gaussian_bezout_identity, gaussian_inverse,
+                               inverse_mod_gaussian_linear)
 
 SYMBOLS = "a b c d alpha beta gamma delta k".split()
 
@@ -88,6 +93,7 @@ a, b, c, d, alpha, beta, gamma, delta, k = map(Poly.symbol, SYMBOLS)
 u, v, s, t = a * c + b * d, a * d - b * c, a * a + b * b, c * c + d * d
 R1 = a * alpha + b * beta - 1 - a * b
 R2 = c * gamma + d * delta - 1 - c * d
+R3 = s * gamma + t * delta - 1 - s * t  # gamma, delta as the inverses of the norms
 
 
 @pytest.fixture
@@ -206,3 +212,45 @@ def test_square_inverse_forms_are_one_modulo_a_squared():
     form1, form2 = square_forms(b, beta)
     assert b * b * form1 == 1 - 2 * e * e + e * e * e * e
     assert b * b * form2 == 1 - 3 * e * e - 2 * e * e * e
+
+
+# gaussian_inverse's representative and gaussian_bezout_identity's left side,
+# restated from the inverse pair of the norms
+def gaussian_inverse_form(z, pair):
+    return z.conjugate() * GaussianInteger(pair[0], 0)
+
+
+def bezout_left_side(z, w, pair):
+    x, y = pair
+    return z * (z.conjugate() * GaussianInteger(x, 0)) + w * (w.conjugate() * GaussianInteger(y, 0))
+
+
+@pytest.mark.parametrize("z, w", [((1, 1), (1, 2)), ((2, 3), (1, 4)), ((-3, 2), (5, -2)),
+                                  ((-1, -1), (2, -1)), ((4, -1), (-1, 1)),
+                                  ((3**20, -(2**34 + 2)), (7**15, 2**40 + 3)),
+                                  ((3**600, -(2**900 + 2)), (7**450, 2**1000 + 3))])
+def test_restated_gaussian_formulas_give_the_shipped_values(z, w, monkeypatch):
+    # the last point's norms, of 1902 and 2527 bits, take the batched route
+    z, w = GaussianInteger(*z), GaussianInteger(*w)
+    s_, t_ = z.norm(), w.norm()
+    x, y = inverse_pair(s_, t_)
+    assert gaussian_inverse(z, w)[0] == gaussian_inverse_form(z, (x, y))
+    assert bezout_left_side(z, w, (x, y)) == GaussianInteger(1 + s_ * t_, 0)
+    # the shipped check holds exactly when the restated side is 1 + s*t: the
+    # pair shifted by (t, -s) keeps the identity, one off by 1 misses it by s
+    for pair, holds in (((x, y), True), ((x + t_, y - s_), True), ((x + 1, y), False)):
+        monkeypatch.setattr(gaussian, "inverse_pair", lambda p, q, pair=pair: pair)
+        assert gaussian_bezout_identity(z.re, z.im, w.re, w.im) is holds
+        assert (bezout_left_side(z, w, pair) == GaussianInteger(1 + s_ * t_, 0)) is holds
+
+
+def test_gaussian_inverse_is_one_modulo_its_modulus():
+    z, w = GaussianInteger(a, b), GaussianInteger(c, d)
+    rep = gaussian_inverse_form(z, (gamma, delta))
+    assert z * rep - 1 == w * (w.conjugate() * GaussianInteger(s - delta, 0)) + GaussianInteger(R3, 0)
+
+
+def test_gaussian_bezout_left_side_is_one_plus_the_norm_product():
+    lhs = bezout_left_side(GaussianInteger(a, b), GaussianInteger(c, d), (gamma, delta))
+    assert lhs == GaussianInteger(s * t + 1 + R3, 0)
+    assert lhs.im == 0

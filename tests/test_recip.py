@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from modrecip import core
 from modrecip.core import (
     _WINDOW_BITS,
     InverseFailure,
@@ -125,7 +126,7 @@ def test_batched_descent_keeps_a_euclid_pair():
         assert inverse_via_reciprocity(x, y).result == pow(x, -1, y)
 
 
-def test_recursion_survives_fibonacci_worst_case():
+def test_recursion_survives_fibonacci_worst_case(monkeypatch):
     # consecutive Fibonacci numbers maximize the reduction step count (every
     # quotient is 1, here over more than 4096 bits); a huge quotient, 2**2048,
     # leaves remainder 1 at once.  Both take the batched route, so the oracle
@@ -138,6 +139,21 @@ def test_recursion_survives_fibonacci_worst_case():
             pair = inverse_pair(a, m)
             assert pair == (pow(a, -1, m), pow(m, -1, a))
             assert inverse_via_reciprocity(a, m).expect() == pair[0]
+    # Within the window only the per-level loop runs, and it keeps no step
+    # count: Lame's bound holds it to ceil(1.4405*bits) + 3 levels of one
+    # divmod each for a narrower operand of that many bits
+    f0, f1 = 1, 1
+    while (f0 + f1).bit_length() <= _WINDOW_BITS:
+        f0, f1 = f1, f0 + f1
+    levels = math.ceil(1.4405 * f0.bit_length()) + 3
+    for x, y in ((f1, f0), (f0, f1)):
+        for a, m in ((x, y), (-x, y), (x, -y), (-x, -y)):
+            calls = []
+            monkeypatch.setattr(core, "divmod", lambda n, d: calls.append(d) or divmod(n, d),
+                                raising=False)
+            assert reciprocal_pair(a, m) == (pow(a, -1, m), pow(m, -1, a))
+            monkeypatch.undo()
+            assert 0 < len(calls) <= levels
 
 
 def _random_pair(bits_a, bits_m, seed):
