@@ -21,13 +21,10 @@ and usage errors included, goes to the argparse parser.
 import os
 import sys
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import Callable, NamedTuple
 
 from .core import (MAX_BITS, MAX_SHARDS, MIN_BITS, DomainError, NotCoprimeError,
                    ZeroOperandError, _quoted, inverse)
-
-if TYPE_CHECKING:
-    import argparse
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -41,10 +38,6 @@ EXIT_COUNTEREXAMPLE = 3
 MAX_OPERAND_BITS = 1 << 16
 
 
-class _Refused(ValueError):
-    """An operand that does not parse or exceeds the cap; the message says which."""
-
-
 def parse_integer(text: str) -> int:
     """Decimal by default; hex with a 0x prefix, which a sign may precede but not follow."""
     t = text.strip()
@@ -56,10 +49,10 @@ def _capped(text: str, parse: Callable, kind: str, parts: Callable):
         try:
             value = parse(text)
         except ValueError:
-            raise _Refused(f"invalid {kind} {_quoted(text)}") from None
+            raise ValueError(f"invalid {kind} {_quoted(text)}") from None
         if all(n.bit_length() <= MAX_OPERAND_BITS for n in parts(value)):
             return value
-    raise _Refused(f"operand exceeds the {MAX_OPERAND_BITS}-bit cap")
+    raise ValueError(f"operand exceeds the {MAX_OPERAND_BITS}-bit cap")
 
 
 def _int_arg(text: str) -> int:
@@ -280,12 +273,12 @@ def _plain_call(argv: list[str]) -> SimpleNamespace | None:
         return None
     try:
         values |= {name: command.operand_type(text) for name, text in zip(command.operands, texts)}
-    except _Refused:
+    except ValueError:
         return None
     return SimpleNamespace(command=argv[0], func=_run_command, **values)
 
 
-def build_parser() -> "argparse.ArgumentParser":
+def build_parser():
     """The CLI parser, with one subparser per subcommand."""
     import argparse
 
@@ -294,7 +287,7 @@ def build_parser() -> "argparse.ArgumentParser":
         def operand(text: str):
             try:
                 return convert(text)
-            except _Refused as exc:
+            except ValueError as exc:
                 raise argparse.ArgumentTypeError(str(exc)) from None
         return operand
 

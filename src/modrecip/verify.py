@@ -302,12 +302,10 @@ def _reduction_cases(config, chunk):
     ks = range(-config.k_bound, config.k_bound + 1)
     for a, b in _coprime(chunk, signed_range(config.reduce_bound)):
         for k in ks:
-            for plus in (True, False):
-                target = k * a + b if plus else k * a - b
-                got = (reduce_inverse_plus if plus else reduce_inverse_minus)(a, b, k)
-                want = inverse(a, target)
-                form, ok = "+" if plus else "-", got == want
-                yield None if ok else f"a={a} b={b} k={k} form={form} got={got} want={want}"
+            for form, reduce, target in (("+", reduce_inverse_plus, k * a + b),
+                                         ("-", reduce_inverse_minus, k * a - b)):
+                got, want = reduce(a, b, k), inverse(a, target)
+                yield None if got == want else f"a={a} b={b} k={k} form={form} got={got} want={want}"
 
 
 def _reduction_classical_cases(config, chunk):
@@ -324,16 +322,14 @@ def _reduction_classical_cases(config, chunk):
         inv_ab = 0 if abs(b) == 1 else inverse(a, b)
         predicted = abs(b) == 1 and unit_inverse(a, b) != 0
         for k in ks:
-            for plus in (True, False):
-                target = k * a + b if plus else k * a - b
+            for form, formula, target in (("+", k * (a - inv_ba) + inv_ab, k * a + b),
+                                          ("-", k * inv_ba - (b - inv_ab), k * a - b)):
                 if abs(target) == 1:
                     continue
-                formula = k * (a - inv_ba) + inv_ab if plus else k * inv_ba - (b - inv_ab)
                 breaks = formula != inverse(a, target)
                 if breaks == predicted:
                     yield BREAK if breaks else None
                 else:
-                    form = "+" if plus else "-"
                     yield f"a={a} b={b} k={k} form={form} breaks={breaks} predicted={predicted}"
 
 
@@ -464,7 +460,7 @@ def run_each(config: SweepConfig, classical_units: bool = False) -> Iterator[Swe
     table = SUITES | CLASSICAL_UNITS if classical_units else SUITES
     with _pool(config.shard_count) as pool:
         for suite in table.values():
-            yield suite.run(config, pool) if pool else suite.run(config)
+            yield suite.run(config, pool)
 
 
 def run_all(config: SweepConfig, classical_units: bool = False) -> list[SweepResult]:

@@ -383,6 +383,12 @@ def test_verify_module_entry_point_shards():
     assert _verify_process("2") == _verify_process("1")
 
 
+def test_cli_module_entry_point():
+    # the third entry point, beside the console script and `python -m modrecip`
+    proc = run_python("-m", "modrecip.cli", "inv", "7", "22")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "19\n", "")
+
+
 def test_closed_stdout_pipe_exits_1_without_a_traceback():
     # `modrecip verify | head -1`: the reader closes the pipe after the first
     # suite's line, and the next line's write fails with a BrokenPipeError
@@ -460,8 +466,8 @@ def test_verify_config_value_takes_the_operand_cap(tmp_path, capsys):
 
 
 def _fake_suite(run):
-    # a stand-in for a verify.Suite: the engine calls only its run(config)
-    return SimpleNamespace(run=run)
+    # a stand-in for a verify.Suite: the engine calls only its run(config, pool)
+    return SimpleNamespace(run=lambda config, pool=None: run(config))
 
 
 def test_verify_counterexample_exit_3(monkeypatch, capsys):
