@@ -37,10 +37,6 @@ class BenchReport:
     median_ns_pow: int
     agreement_count: int  # trials on which all three routes agreed
 
-    @property
-    def all_agreed(self) -> bool:
-        return self.agreement_count == self.iterations
-
 
 def _random_coprime_pair(rng: random.Random, bits: int) -> tuple[int, int]:
     while True:
@@ -66,9 +62,7 @@ def run_bench(bit_width: int, iterations: int, seed: int | None = None) -> Bench
         raise DomainError("seed must be in [0, 2**64 - 1]")
     rng = random.Random(seed)
 
-    recip_ns: list[int] = []
-    gcd_ns: list[int] = []
-    pow_ns: list[int] = []
+    rows: list[tuple[int, int, int]] = []
     agreement = 0
     for _ in range(iterations):
         a, m = _random_coprime_pair(rng, bit_width)
@@ -80,17 +74,16 @@ def run_bench(bit_width: int, iterations: int, seed: int | None = None) -> Bench
         t2 = time.perf_counter_ns()
         via_pow = pow(a, -1, m)
         t3 = time.perf_counter_ns()
-        recip_ns.append(t1 - t0)
-        gcd_ns.append(t2 - t1)
-        pow_ns.append(t3 - t2)
+        rows.append((t1 - t0, t2 - t1, t3 - t2))
         agreement += g == 1 and via_recip == via_gcd == via_pow
 
+    recip_ns, gcd_ns, pow_ns = (int(statistics.median(column)) for column in zip(*rows))
     return BenchReport(
         bit_width=bit_width,
         iterations=iterations,
         seed=seed,
-        median_ns_reciprocity=int(statistics.median(recip_ns)),
-        median_ns_ext_gcd=int(statistics.median(gcd_ns)),
-        median_ns_pow=int(statistics.median(pow_ns)),
+        median_ns_reciprocity=recip_ns,
+        median_ns_ext_gcd=gcd_ns,
+        median_ns_pow=pow_ns,
         agreement_count=agreement,
     )

@@ -229,7 +229,7 @@ def cmd_bench(args) -> int:
     except DomainError as exc:  # run_bench's own range checks
         print(f"modrecip bench: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if not report.all_agreed:
+    if report.agreement_count != report.iterations:
         print(f"modrecip bench: routes disagreed on {report.iterations - report.agreement_count}"
               " trial(s); no timing report", file=sys.stderr)
         return EXIT_COUNTEREXAMPLE
@@ -309,14 +309,12 @@ def build_parser():
         p.set_defaults(func=_run_command)
 
     p = sub.add_parser("verify", parents=[common], help="run every verification sweep")
-    p.add_argument("--bound", type=int_arg, default=None,
-                   help="reciprocity/oracle operand bound")
-    p.add_argument("--k-bound", dest="k_bound", type=int_arg, default=None)
-    p.add_argument("--gaussian-bound", dest="gaussian_bound", type=int_arg, default=None)
-    p.add_argument("--shards", dest="shard_count", metavar="SHARDS", type=int_arg, default=None,
+    p.add_argument("--bound", type=int_arg, help="reciprocity/oracle operand bound")
+    p.add_argument("--k-bound", type=int_arg)
+    p.add_argument("--gaussian-bound", type=int_arg)
+    p.add_argument("--shards", dest="shard_count", metavar="SHARDS", type=int_arg,
                    help=f"worker processes for the sweeps (1 to {MAX_SHARDS})")
-    p.add_argument("--config", default=None, metavar="FILE",
-                   help="key=value file overriding any sweep bound")
+    p.add_argument("--config", metavar="FILE", help="key=value file overriding any sweep bound")
     p.add_argument("--use-classical-unit-inverse", action="store_true",
                    help="substitute the classical 0 for unit moduli and check the designed breaks")
     p.set_defaults(func=cmd_verify)
@@ -326,8 +324,7 @@ def build_parser():
     p.add_argument("--bits", type=int_arg, required=True,
                    help=f"operand width in bits ({MIN_BITS} to {MAX_BITS})")
     p.add_argument("--iters", type=int_arg, default=1000, help="number of trials")
-    p.add_argument("--seed", type=int_arg, metavar="U64", default=None,
-                   help="seed for the random operands")
+    p.add_argument("--seed", type=int_arg, metavar="U64", help="seed for the random operands")
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -560,6 +560,32 @@ def test_bench_counts_only_three_way_agreement(monkeypatch):
     assert bench_mod.run_bench(64, 3, seed=7).agreement_count == 0
 
 
+def test_bench_medians_come_from_their_own_routes(monkeypatch):
+    # within each trial the clock advances 10, 20 and 30 ns across the three timed calls
+    clock = itertools.accumulate(itertools.cycle((1, 10, 20, 30)))
+    monkeypatch.setattr(bench_mod, "time", SimpleNamespace(perf_counter_ns=clock.__next__))
+    report = bench_mod.run_bench(64, 5, seed=3)
+    assert (report.median_ns_reciprocity, report.median_ns_ext_gcd, report.median_ns_pow) == (
+        10, 20, 30)
+
+
+def test_unseeded_bench_reports_a_seed_that_reproduces_its_operands(monkeypatch):
+    pairs = []
+    draw = bench_mod._random_coprime_pair
+
+    def recorded(rng, bits):
+        pairs.append(draw(rng, bits))
+        return pairs[-1]
+
+    monkeypatch.setattr(bench_mod, "_random_coprime_pair", recorded)
+    report = bench_mod.run_bench(64, 3)
+    assert 0 <= report.seed < 1 << 64
+    assert report.agreement_count == 3
+    first, pairs[:] = pairs[:], []
+    bench_mod.run_bench(64, 3, seed=report.seed)
+    assert len(first) == 3 and pairs == first
+
+
 def test_bench_disagreement_suppresses_report(monkeypatch, capsys):
     fake = BenchReport(
         bit_width=64,

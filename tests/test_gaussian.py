@@ -61,7 +61,8 @@ def test_int_operands_act_as_real_gaussians(z, n):
 
 def test_other_operands_are_refused():
     for other in (1.5, "x", (1, 2)):
-        for op in (lambda: G(1, 2) + other, lambda: other - G(1, 2), lambda: G(1, 2) * other):
+        for op in (lambda: G(1, 2) + other, lambda: G(1, 2) - other,
+                   lambda: other - G(1, 2), lambda: G(1, 2) * other):
             with pytest.raises(TypeError):
                 op()
 
