@@ -20,11 +20,12 @@ picks one of two routes by operand width, and a unit modulus takes the closed fo
 For |m| > 1 both routes' results follow the sign of m.  Up to a crossover of 1664 bits
 (_POW_MAX_BITS, measured) the inverse is the built-in ``pow(a, -1, m)``, extended
 Euclid in C.  Above it, where Euclid's one big division per quotient dominates, it is
-the first of :func:`reciprocal_pair`, the reciprocity climb: a Euclid descent that
-keeps only its quotients, in Lehmer batches of about twenty quotients per 2x2 matrix
-while both operands are wider than _WINDOW_BITS, then a climb that builds both
-inverses of the pair back up from the unit closed form by the reduction identity, with
-no cofactor carried down and no division.  ``pow`` stays the independent oracle the
+the first of :func:`reciprocal_pair`, the reciprocity climb: a Euclid descent of
+(|a|, |m|) that keeps only its quotients, in Lehmer batches of about twenty quotients
+per 2x2 matrix while both operands are wider than _WINDOW_BITS, then a climb that
+builds a Bezout pair back up from the unit closed form by the reduction identity, with
+no cofactor carried down and no division, and at every width one reduction modulo m
+and one modulo a that put it in the windows.  ``pow`` stays the independent oracle the
 tests hold the climb to, and :func:`inverse_pair` gets both inverses from one
 inversion by either route.  Every route raises.  Outcomes are built only at the public
 edge: :func:`mod_inverse` and the other outcome routes run their route through one
@@ -270,42 +271,34 @@ def _certified(a: int, b: int, x: int, y: int, miss: int) -> tuple[int, int]:
 def reciprocal_pair(a: int, m: int) -> tuple[int, int]:
     """(inv(a mod m), inv(m mod a)) for nonzero a, m, both certified by the identity.
 
-    The descent writes x = q*y + r with floor remainders, starting from
-    (x, y) = (a, m), and keeps each level's (q, y) until |y| = 1.  It needs no
-    step count: after its first level both operands share the sign of m, so each
-    level is a Euclid step, fewer than 1.4405*n + 3 of them for an n-bit narrower
-    operand by Lame's bound.  There both inverses of the pair are closed forms:
-    P = inv(x mod y) is the signed unit value and S = inv(y mod x) is y mod x.
-    The climb carries (P, S) back up one level at a time with the reduction identity
+    The descent runs on (|a|, |m|).  While both operands are wider than
+    _WINDOW_BITS it goes in Lehmer batches (:func:`_batched_descent`), each
+    recorded as one matrix; a batch replaces about twenty big divisions with
+    eight small-by-large multiplies (four down, four up).  From the pair (x, y)
+    it reaches, x >= y, it writes x = q*y + r and keeps each level's (q, y)
+    until y = 1.  It needs no step count: each level is a Euclid step on
+    positive operands, fewer than 1.4405*n + 3 of them for an n-bit narrower
+    operand by Lame's bound.  There both inverses of the pair are closed forms,
+    P = inv(x mod 1) = 1 and S = inv(1 mod x) = 1, and the climb carries (P, S)
+    back up one level at a time with the reduction identity
 
         inv(y mod q*y + r) = q*(y - inv(r mod y)) + inv(y mod r),
 
-    so each level costs one small-by-large multiply and no division.
-
-    When both operands are wider than _WINDOW_BITS, the descent from
-    (|a|, |m|) first runs in Lehmer batches (:func:`_batched_descent`), each
-    recorded as one matrix, until the smaller operand fits the window; the
-    per-level descent and climb above take over from there.  At that pair
-    (U, V) = (P, S - x) is a Bezout pair, x*U + y*V = 1, and the transpose
-    of each batch matrix carries it one batch up; one reduction modulo m
-    and one modulo a put the top U and V into their windows.  A batch
-    replaces about twenty big divisions with eight small-by-large multiplies
-    (four down, four up).
-
-    Either way the climb ends on both inverses of (a, m), and the module's
-    certificate checks the two together for two multiplications and no
-    division.  Raises ZeroOperandError on a zero operand, and on a remainder
+    so each level costs one small-by-large multiply and no division.  At the
+    pair the batches reached, (U, V) = (P, S - x) is a Bezout pair, x*U + y*V = 1,
+    and the transpose of each batch matrix carries it one batch up.  One
+    reduction modulo m and one modulo a, each signed, put the top U and V into
+    their windows, or a unit modulus or operand takes the closed form; the
+    module's certificate checks the two together for two multiplications and
+    no division.  Raises ZeroOperandError on a zero operand, and on a remainder
     that vanishes, in either descent, NotCoprimeError if a and m share a factor
     and InvariantError if they do not; the gcd runs on that failure path only.
     """
     if a == 0 or m == 0:
         raise ZeroOperandError("reciprocity needs nonzero operands")
-    x, y, batches = a, m, []
-    if a.bit_length() > _WINDOW_BITS and m.bit_length() > _WINDOW_BITS:
-        x, y, batches = _batched_descent(abs(a), abs(m))
-    x_top = x  # the pair the batches reached, if any
-    levels: list[tuple[int, int]] = []  # (q, y), outermost first
-    while abs(y) != 1:
+    x_top, y, batches = _batched_descent(abs(a), abs(m))
+    x, levels = x_top, []  # levels: (q, y), outermost first
+    while y != 1:
         q, r = divmod(x, y)
         if r == 0:
             if math.gcd(a, m) != 1:
@@ -313,16 +306,14 @@ def reciprocal_pair(a: int, m: int) -> tuple[int, int]:
             raise InvariantError("a remainder vanished on a coprime pair")
         levels.append((q, y))
         x, y = y, r
-    # |x| = 1 as well only when the pair is two units from the start
-    p, s = unit_inverse(x, y), y % x if abs(x) > 1 else unit_inverse(y, x)
-    for q, y in reversed(levels):
-        # one level up, inv(x mod y) = inv(r mod y) is the old S
+    p, s = unit_inverse(x, y), y % x if x > 1 else unit_inverse(y, x)
+    for q, y in reversed(levels):  # one level up, inv(x mod y) = inv(r mod y) is the old S
         p, s = s, q * (y - s) + p
-    if batches:
-        u, v = p, s - x_top
-        for u0, v0, u1, v1 in reversed(batches):
-            u, v = u0 * u + u1 * v, v0 * u + v1 * v
-        p, s = (u if a > 0 else -u) % m, (v if m > 0 else -v) % a
+    u, v = p, s - x_top
+    for u0, v0, u1, v1 in reversed(batches):
+        u, v = u0 * u + u1 * v, v0 * u + v1 * v
+    p = (u if a > 0 else -u) % m if abs(m) > 1 else unit_inverse(a, m)
+    s = (v if m > 0 else -v) % a if abs(a) > 1 else unit_inverse(m, a)
     return _certified(a, m, p, s, 1 - a * p - m * (s - a))  # one product fewer
 
 

@@ -107,6 +107,44 @@ def test_inverse_via_reciprocity_equals_mod_inverse_exhaustively():
         for m in range(-80, 81):
             got, want = inverse_via_reciprocity(a, m), mod_inverse(a, m)
             assert (got.result, got.failure) == (want.result, want.failure), (a, m)
+            assert _pair_or_error(reciprocal_pair, a, m) == _pair_or_error(inverse_pair, a, m)
+
+
+def _pair_or_error(route, a, m):
+    """route's pair for (a, m), or the type of the error it raised."""
+    try:
+        return route(a, m)
+    except ValueError as exc:
+        return type(exc)
+
+
+def test_reciprocal_pair_across_the_window():
+    # a narrow operand below, at and just past the Lehmer window against a wide
+    # one, both orders and four signs: both values of the climb must be those
+    # of the pow route with its exact-division partner.  The 1-bit operand is
+    # the (wide, +-1) shape of the wide-inverse benchmark
+    rng = random.Random(120)
+    for narrow_bits in (1, 8, 64, 119, 120, 121):
+        for wide_bits in (121, 4096):
+            x = rng.getrandbits(narrow_bits) | 1 << narrow_bits - 1
+            y = rng.getrandbits(wide_bits) | 1 << wide_bits - 1
+            while math.gcd(x, y) != 1:
+                y += 1
+            for a, m in ((x, y), (y, x)):
+                for sa, sm in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                    assert (_pair_or_error(reciprocal_pair, sa * a, sm * m)
+                            == _pair_or_error(inverse_pair, sa * a, sm * m)), (sa * a, sm * m)
+
+
+def test_batched_descent_does_nothing_below_the_window():
+    # every reciprocal_pair call enters the batched descent; once the narrower
+    # operand fits the window it only orders the pair, by one swap step
+    for bits in (1, 64, 120):
+        y = 1 << bits - 1 | 1
+        for x in (y, y + 2, 2**4096):
+            assert _batched_descent(x, y) == (x, y, [])
+            if x != y:
+                assert _batched_descent(y, x) == (x, y, [(0, 1, 1, 0)])
 
 
 def test_batched_descent_keeps_a_euclid_pair():
