@@ -306,7 +306,7 @@ def reciprocal_pair(a: int, m: int) -> tuple[int, int]:
             raise InvariantError("a remainder vanished on a coprime pair")
         levels.append((q, y))
         x, y = y, r
-    p, s = unit_inverse(x, y), y % x if x > 1 else unit_inverse(y, x)
+    p = s = 1  # y = 1 <= x here, and inv(x mod 1) = inv(1 mod x) = 1 in the signed convention
     for q, y in reversed(levels):  # one level up, inv(x mod y) = inv(r mod y) is the old S
         p, s = s, q * (y - s) + p
     u, v = p, s - x_top

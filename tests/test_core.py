@@ -13,6 +13,7 @@ from modrecip.core import (
     DomainError,
     InverseFailure,
     InverseOutcome,
+    InvariantError,
     NotCoprimeError,
     ZeroOperandError,
     brute_force_inverse,
@@ -451,3 +452,19 @@ def test_inverse_is_the_first_of_one_pair_call(monkeypatch, bits):
     monkeypatch.setattr(core, "inverse_pair", counted)
     assert core.inverse(a, m) == pair[0]
     assert calls == [(a, m)]
+
+
+def test_descent_over_its_step_bound_is_a_fault(monkeypatch):
+    # the batched descent refuses to run past 3*n + _STEP_SLACK steps for an
+    # n-bit narrower operand; with the slack lowered below the steps a 4096-bit
+    # pair takes, every caller of the climb raises that fault, never a value
+    rng = random.Random(4096)
+    a = -(rng.getrandbits(4096) | 1 << 4095)
+    m = rng.getrandbits(4096) | 1 << 4095
+    while math.gcd(a, m) != 1:
+        m += 1
+    steps = len(core._batched_descent(abs(a), abs(m))[2])
+    monkeypatch.setattr(core, "_STEP_SLACK", steps // 2 - 3 * 4096)
+    for call in (inverse, inverse_pair, recip.inverse_via_reciprocity, recip.solve_diophantine):
+        with pytest.raises(InvariantError, match="^reduction exceeded the Euclid step bound$"):
+            call(a, m)

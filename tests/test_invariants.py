@@ -15,10 +15,11 @@ def _exits_outside_main_block(tree: ast.Module) -> list[ast.AST]:
 
 
 def test_package_has_no_assert_statements():
-    # python -O strips assert statements, so no invariant may rest on one; and
-    # every self-check raises InvariantError, the fault the -O tests count,
-    # never a bare AssertionError.  Exit decisions stay in cli.main, which
-    # returns its code: only a __main__ block may exit the process
+    # python -O strips assert statements, so no invariant may rest on one, nor
+    # on __debug__ or sys.flags.optimize, which -O changes; and every
+    # self-check raises InvariantError, the fault the -O tests count, never a
+    # bare AssertionError.  Exit decisions stay in cli.main, which returns its
+    # code: only a __main__ block may exit the process
     modules = sorted((SRC / "modrecip").glob("*.py"))
     assert modules
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in modules}
@@ -26,7 +27,9 @@ def test_package_has_no_assert_statements():
              for name, tree in trees.items()
              for node in ast.walk(tree)
              if isinstance(node, ast.Assert)
-             or isinstance(node, ast.Raise) and ast.unparse(node).startswith("raise AssertionError")]
+             or isinstance(node, ast.Raise) and ast.unparse(node).startswith("raise AssertionError")
+             or isinstance(node, ast.Name) and node.id == "__debug__"
+             or isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.flags.optimize"]
     found += [f"{name}:{node.lineno}" for name, tree in trees.items()
               for node in _exits_outside_main_block(tree)]
     assert found == []
@@ -234,8 +237,9 @@ def test_vanished_remainder_on_a_coprime_pair_is_a_fault_under_optimize_flag():
 
 
 def test_post_condition_survives_optimize_flag():
-    # a wrong unit base case must be caught by the final check even when
-    # the interpreter strips asserts
+    # a wrong closed form at a unit modulus or operand, the climb's only
+    # unit_inverse calls, must be caught by the final check even when the
+    # interpreter strips asserts
     script = textwrap.dedent("""
         from modrecip import core, recip
         from modrecip.core import InvariantError
@@ -243,7 +247,7 @@ def test_post_condition_survives_optimize_flag():
         right = core.unit_inverse
         core.unit_inverse = lambda a, m: right(a, m) + 1
         caught = 0
-        for a, m in ((7, 22), (3, -5), (-2, -5), (97, 89)):
+        for a, m in ((7, 1), (-3, -1), (1, 22), (-1, -5)):
             try:
                 recip.inverse_via_reciprocity(a, m)
             except InvariantError:

@@ -469,6 +469,33 @@ def test_planted_failure_is_shard_invariant(monkeypatch, module, subject, plant,
     assert _outcomes([serial]) == _outcomes([sharded])
 
 
+@pytest.mark.parametrize(
+    "key, failure_count, first, note",
+    [
+        pytest.param("reciprocity", 30, "a=-8 b=-1 breaks=True predicted=False",
+                     "0 designed breaks, all on unit operands", id="reciprocity"),
+        pytest.param("reduction", 116, "a=-6 b=-1 k=-3 form=+ breaks=True predicted=False",
+                     "0 designed breaks, all with |b| = 1", id="reduction"),
+    ],
+)
+def test_classical_units_suite_labels_an_unpredicted_break(monkeypatch, key, failure_count,
+                                                           first, note):
+    # a closed form planted as the classical 0 predicts no break, so every
+    # designed break turns into a failure labelled with what broke and what
+    # was predicted, and none is left to count in the note
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the planted failure reaches worker processes only through fork")
+    monkeypatch.setattr(verify, "unit_inverse", lambda a, m: 0)
+    suite = CLASSICAL_UNITS[key]
+    serial = suite.run(SMALL)
+    sharded = suite.run(replace(SMALL, shard_count=3))
+    assert (serial.cases, serial.failure_count, serial.note) == (
+        _SMALL_COUNTS[serial.name], failure_count, note)
+    assert len(serial.failures) == 5
+    assert serial.failures[0] == first
+    assert _outcomes([serial]) == _outcomes([sharded])
+
+
 def test_results_are_timed():
     result = SUITES["quad-pair"].run(SMALL)
     assert result.elapsed_s > 0
